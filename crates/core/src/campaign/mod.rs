@@ -1107,36 +1107,16 @@ impl Campaign {
 }
 
 fn execute_one<F: ScenarioFactory>(spec: &ScenarioSpec, factory: &F) -> ScenarioRun {
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<RunReport, String> {
+    let outcome = contain_panics(|| {
         spec.validate()?;
         let algorithm = factory.algorithm(spec)?;
-        let mut runner = Runner::new(spec.n).rate(spec.rho).beta(spec.beta).rounds(spec.rounds);
-        if let Some(drain) = spec.drain {
-            runner = runner.drain(drain);
-        }
-        if let Some(cap) = spec.cap {
-            runner = runner.cap(cap);
-        }
-        if let Some(probe_cap) = spec.probe_cap {
-            runner = runner.probe_cap(probe_cap);
-        }
-        if let Some(faults) = &spec.faults {
-            runner = runner.faults(faults.clone());
-        }
-        runner.try_run_against(algorithm.as_ref(), |schedule| factory.adversary(spec, schedule))
-    }))
-    .unwrap_or_else(|panic| {
-        let msg = panic
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| panic.downcast_ref::<&str>().copied())
-            .unwrap_or("opaque panic");
-        Err(format!("scenario panicked: {msg}"))
+        runner(spec)
+            .try_run_against(algorithm.as_ref(), |schedule| factory.adversary(spec, schedule))
     });
     ScenarioRun { spec: spec.clone(), outcome }
 }
 
-/// Run `spec` under every seed in `seeds` as one lockstep batch — the
+/// Run `spec` under every seed in `seeds` as independent lanes — the
 /// multi-seed sibling of [`execute_one`], built from the same `Runner`
 /// setup so lane `i` is digest-identical to `execute_one` with
 /// `spec.seed = seeds[i]`. `spec.seed` itself is ignored. Used by the
@@ -1147,36 +1127,40 @@ pub fn execute_batch<F: ScenarioFactory>(
     seeds: &[u64],
     factory: &F,
 ) -> Result<Vec<RunReport>, String> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<Vec<RunReport>, String> {
+    contain_panics(|| {
         spec.validate()?;
-        let mut runner = Runner::new(spec.n).rate(spec.rho).beta(spec.beta).rounds(spec.rounds);
-        if let Some(drain) = spec.drain {
-            runner = runner.drain(drain);
-        }
-        if let Some(cap) = spec.cap {
-            runner = runner.cap(cap);
-        }
-        if let Some(probe_cap) = spec.probe_cap {
-            runner = runner.probe_cap(probe_cap);
-        }
-        if let Some(faults) = &spec.faults {
-            runner = runner.faults(faults.clone());
-        }
-        runner.try_run_batch(
+        let lane = |seed| ScenarioSpec { seed, ..spec.clone() };
+        runner(spec).try_run_batch(
             seeds,
-            |seed| {
-                let mut lane = spec.clone();
-                lane.seed = seed;
-                factory.algorithm(&lane)
-            },
-            |seed, schedule| {
-                let mut lane = spec.clone();
-                lane.seed = seed;
-                factory.adversary(&lane, schedule)
-            },
+            |seed| factory.algorithm(&lane(seed)),
+            |seed, schedule| factory.adversary(&lane(seed), schedule),
         )
-    }))
-    .unwrap_or_else(|panic| {
+    })
+}
+
+/// The [`Runner`] that executes `spec` (every field but the seed, which
+/// only the algorithm and adversary constructors read).
+fn runner(spec: &ScenarioSpec) -> Runner {
+    let mut runner = Runner::new(spec.n).rate(spec.rho).beta(spec.beta).rounds(spec.rounds);
+    if let Some(drain) = spec.drain {
+        runner = runner.drain(drain);
+    }
+    if let Some(cap) = spec.cap {
+        runner = runner.cap(cap);
+    }
+    if let Some(probe_cap) = spec.probe_cap {
+        runner = runner.probe_cap(probe_cap);
+    }
+    if let Some(faults) = &spec.faults {
+        runner = runner.faults(faults.clone());
+    }
+    runner
+}
+
+/// Run `run`, turning a panic inside it into a `"scenario panicked: …"`
+/// error so one bad scenario cannot take down its worker.
+fn contain_panics<T>(run: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
         let msg = panic
             .downcast_ref::<String>()
             .map(String::as_str)

@@ -61,8 +61,8 @@
 //!
 //! # Seed ensembles, bands, escalation
 //!
-//! With two or more `"seeds"`, every probe runs all seeds as one lockstep
-//! batch ([`Runner::try_run_batch`](crate::runner::Runner::try_run_batch))
+//! With two or more `"seeds"`, every probe runs all seeds as independent
+//! lanes ([`Runner::try_run_batch`](crate::runner::Runner::try_run_batch))
 //! and the bisection follows the **strict-majority** verdict; a tie on an
 //! even ensemble counts as `Diverging` (the conservative reading: half
 //! the streams blowing up is not stability). Ensemble rows carry three
@@ -77,15 +77,15 @@
 //!   `1.000000` exactly when the band is degenerate.
 //!
 //! An `"escalate": {"max_seeds": S, "step": d}` rule spends extra seeds
-//! only where the ensemble disagrees: a probe whose final batch is mixed
-//! re-runs with `d` more lanes (fresh seeds `max(seeds)+1, +2, …`) until
-//! the batch is unanimous or `S` lanes are reached. Lanes are
-//! deterministic, so re-probing cannot flip the lanes already run — a
-//! unanimous base ensemble never escalates, and a genuinely contested
-//! probe widens to the cap, sharpening the band and the agreement
-//! denominator. Escalation outcomes are recorded in the checkpoint as
-//! replayable events (the final lane tally), so a killed map resumes to
-//! byte-identical output without re-running anything.
+//! only where the ensemble disagrees: a probe whose lanes are mixed runs
+//! `d` more lanes (fresh seeds `max(seeds)+1, +2, …`) until the lanes are
+//! unanimous or `S` lanes are reached. Lanes are independent and
+//! deterministic, so the lanes already run keep their reports and only the
+//! added seeds run — a unanimous base ensemble never escalates, and a
+//! genuinely contested probe widens to the cap, sharpening the band and
+//! the agreement denominator. Escalation outcomes are recorded in the
+//! checkpoint as replayable events (the final lane tally), so a killed map
+//! resumes to byte-identical output without re-running anything.
 //!
 //! # `n`-continuation
 //!
@@ -251,7 +251,7 @@ pub struct FrontierSpec {
     pub ks: Vec<usize>,
     /// Probe seed ensemble. Empty (the default) probes with the template's
     /// own seed; one seed overrides it; more than one runs every probe as
-    /// a lockstep seed batch ([`Runner::try_run_batch`]) and takes the
+    /// independent seed lanes ([`Runner::try_run_batch`]) and takes the
     /// strict-majority verdict across lanes (ties on even ensembles count
     /// as diverging — the conservative reading), so a boundary stops being
     /// one RNG stream's opinion. Ensemble rows additionally report the
@@ -1171,11 +1171,11 @@ struct ProbeOutcome {
     unclean: bool,
 }
 
-/// Run one probe's seed ensemble, widening the lane batch by
-/// `escalate.step` fresh seeds (`max(seeds so far) + 1, + 2, …`) while the
-/// batch is mixed and below `escalate.max_seeds`. Lanes are deterministic,
-/// so widening re-runs them bit-exactly; only the final batch's tally
-/// matters — it is the replayable escalation event.
+/// Run one probe's seed ensemble, widening it by `escalate.step` fresh
+/// seeds (`max(seeds so far) + 1, + 2, …`) while the tally is mixed and
+/// below `escalate.max_seeds`. Lanes are independent and deterministic, so
+/// escalation keeps the reports it has and runs only the added seeds; the
+/// final tally over every lane is the replayable escalation event.
 fn run_escalating_probe<F>(
     probe: &ScenarioSpec,
     base_seeds: &[u64],
@@ -1185,10 +1185,13 @@ fn run_escalating_probe<F>(
 where
     F: ScenarioFactory + Sync,
 {
+    let run = |seeds: &[u64]| {
+        crate::campaign::execute_batch(probe, seeds, factory)
+            .map_err(|e| format!("frontier probe {}: {e}", probe.display_label()))
+    };
     let mut seeds = base_seeds.to_vec();
+    let mut reports = run(&seeds)?;
     loop {
-        let reports = crate::campaign::execute_batch(probe, &seeds, factory)
-            .map_err(|e| format!("frontier probe {}: {e}", probe.display_label()))?;
         let lanes = reports.len();
         let diverging =
             reports.iter().filter(|r| r.stability.verdict == Verdict::Diverging).count();
@@ -1197,7 +1200,21 @@ where
             Some(esc) if mixed && lanes < esc.max_seeds => {
                 let add = esc.step.min(esc.max_seeds - lanes);
                 let top = seeds.iter().copied().max().unwrap_or(0);
-                seeds.extend((1..=add as u64).map(|i| top.wrapping_add(i)));
+                let fresh: Vec<u64> = (1..=add as u64).map(|i| top.wrapping_add(i)).collect();
+                let added = run(&fresh)?;
+                // Every lane of one probe runs under one energy cap.
+                if let Some((seed, r)) =
+                    fresh.iter().zip(&added).find(|(_, r)| r.cap != reports[0].cap)
+                {
+                    return Err(format!(
+                        "frontier probe {}: seed {seed} asks for energy cap {}, other lanes use {}",
+                        probe.display_label(),
+                        r.cap,
+                        reports[0].cap
+                    ));
+                }
+                seeds.extend(fresh);
+                reports.extend(added);
             }
             _ => {
                 let unclean = reports.iter().any(|r| !r.clean());
@@ -1516,8 +1533,8 @@ impl Frontier {
             let mut unclean = 0usize;
             if ensemble {
                 // Seed-ensemble probes: each wave point runs all seeds as
-                // one lockstep batch (lane i exact vs a solo probe with
-                // seed i), escalating per the spec, and counts as above
+                // independent lanes (lane i is a solo probe with seed i),
+                // escalating per the spec, and counts as above
                 // the boundary on the strict-majority verdict. Probes run
                 // in parallel but their tallies are recorded and applied
                 // in wave order, so the checkpoint and the bisection see

@@ -8,8 +8,7 @@
 use std::sync::Arc;
 
 use emac_sim::{
-    Adversary, BatchSimulator, FaultSpec, Metrics, OnSchedule, Rate, SimConfig, Simulator,
-    Violations, WakeMode,
+    Adversary, FaultSpec, Metrics, OnSchedule, Rate, SimConfig, Simulator, Violations, WakeMode,
 };
 
 use crate::algorithm::Algorithm;
@@ -95,7 +94,7 @@ impl Runner {
     /// Inject deterministic faults (jamming, crash/restart, deaf rounds,
     /// clock skew) described by `spec`; see [`emac_sim::faults`]. The fault
     /// stream is derived from `spec.seed`, never the scenario seed, so every
-    /// batch lane sees the identical fault schedule.
+    /// lane of a seed batch sees the identical fault schedule.
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
         self
@@ -130,39 +129,17 @@ impl Runner {
         make_adversary: impl FnOnce(Option<&Arc<dyn OnSchedule>>) -> Result<Box<dyn Adversary>, E>,
     ) -> Result<RunReport, E> {
         let cap = self.cap_override.unwrap_or_else(|| algorithm.required_cap(self.n));
-        let sample =
-            if self.sample_every == 0 { (self.rounds / 2_048).max(1) } else { self.sample_every };
-        let mut cfg =
-            SimConfig::new(self.n, cap).adversary_type(self.rho, self.beta).sample_every(sample);
-        if let Some(f) = &self.faults {
-            cfg = cfg.faults(f.clone());
-        }
-        let built = algorithm.build(self.n);
-        let adversary = match &built.wake {
-            WakeMode::Scheduled(s) => make_adversary(Some(s))?,
-            WakeMode::Adaptive => make_adversary(None)?,
-        };
-        let name = built.name.clone();
-        let mut sim = Simulator::new(cfg, built, adversary);
-        let tripped_round = match self.probe_cap {
-            Some(queue_cap) => sim.run_probe_round(self.rounds, queue_cap),
-            None => {
-                sim.run(self.rounds);
-                None
-            }
-        };
-        let drained = self.drain_rounds.map(|max| sim.run_until_drained(max));
-        Ok(self.lane_report(name, cap, tripped_round, drained, &sim))
+        let sim = self.build(algorithm, cap, make_adversary)?;
+        Ok(self.run_lane(sim))
     }
 
-    /// Run one scenario under every seed in `seeds` as a lockstep
-    /// [`BatchSimulator`] — one report per seed, in seed order. Lane `i` is
-    /// digest-identical to a solo [`Runner::try_run_against`] of the same
-    /// scenario with seed `seeds[i]`: the closures receive the seed and
-    /// must build the algorithm and adversary exactly as the solo run
-    /// would. With [`Runner::probe_cap`] set, lanes that trip early drop
-    /// out without stalling the rest of the batch and report their
-    /// tripping round.
+    /// Run one scenario under every seed in `seeds` as independent lanes —
+    /// one report per seed, in seed order. Each lane is an ordinary solo
+    /// [`Simulator`] run, so lane `i` is digest-identical to
+    /// [`Runner::try_run_against`] of the same scenario with seed
+    /// `seeds[i]`: the closures receive the seed and must build the
+    /// algorithm and adversary exactly as the solo run would. Every lane is
+    /// built before any runs.
     ///
     /// Fails (without simulating) when `seeds` is empty, a constructor
     /// fails, or the seeds disagree on the algorithm's energy cap.
@@ -178,10 +155,7 @@ impl Runner {
         if seeds.is_empty() {
             return Err("a seed batch needs at least one seed".into());
         }
-        let sample =
-            if self.sample_every == 0 { (self.rounds / 2_048).max(1) } else { self.sample_every };
         let mut lanes = Vec::with_capacity(seeds.len());
-        let mut names = Vec::with_capacity(seeds.len());
         let mut cap = None;
         for &seed in seeds {
             let algorithm = make_algorithm(seed)?;
@@ -195,83 +169,45 @@ impl Runner {
                 }
                 Some(_) => {}
             }
-            let mut cfg = SimConfig::new(self.n, lane_cap)
-                .adversary_type(self.rho, self.beta)
-                .sample_every(sample);
-            if let Some(f) = &self.faults {
-                cfg = cfg.faults(f.clone());
-            }
-            let built = algorithm.build(self.n);
-            let adversary = match &built.wake {
-                WakeMode::Scheduled(s) => make_adversary(seed, Some(s))?,
-                WakeMode::Adaptive => make_adversary(seed, None)?,
-            };
-            names.push(built.name.clone());
-            lanes.push(Simulator::new(cfg, built, adversary));
+            lanes.push(self.build(algorithm.as_ref(), lane_cap, |s| make_adversary(seed, s))?);
         }
-        let cap = cap.expect("at least one seed");
-        let mut batch = BatchSimulator::new(lanes);
-        let tripped: Vec<Option<u64>> = match self.probe_cap {
-            Some(queue_cap) => batch.run_probe(self.rounds, queue_cap),
+        Ok(lanes.into_iter().map(|sim| self.run_lane(sim)).collect())
+    }
+
+    /// Build the simulator of one run: configuration, algorithm, adversary.
+    fn build<E>(
+        &self,
+        algorithm: &dyn Algorithm,
+        cap: usize,
+        make_adversary: impl FnOnce(Option<&Arc<dyn OnSchedule>>) -> Result<Box<dyn Adversary>, E>,
+    ) -> Result<Simulator, E> {
+        let sample =
+            if self.sample_every == 0 { (self.rounds / 2_048).max(1) } else { self.sample_every };
+        let mut cfg =
+            SimConfig::new(self.n, cap).adversary_type(self.rho, self.beta).sample_every(sample);
+        if let Some(f) = &self.faults {
+            cfg = cfg.faults(f.clone());
+        }
+        let built = algorithm.build(self.n);
+        let adversary = match &built.wake {
+            WakeMode::Scheduled(s) => make_adversary(Some(s))?,
+            WakeMode::Adaptive => make_adversary(None)?,
+        };
+        Ok(Simulator::new(cfg, built, adversary))
+    }
+
+    /// Run a built simulator through the main phase (a probe when
+    /// [`Runner::probe_cap`] is set) and the optional drain, and classify
+    /// it into a [`RunReport`].
+    fn run_lane(&self, mut sim: Simulator) -> RunReport {
+        let tripped_round = match self.probe_cap {
+            Some(queue_cap) => sim.run_probe_round(self.rounds, queue_cap),
             None => {
-                batch.run(self.rounds);
-                vec![None; seeds.len()]
+                sim.run(self.rounds);
+                None
             }
         };
-        let drained: Vec<Option<bool>> = match self.drain_rounds {
-            Some(max) => batch.run_until_drained(max).into_iter().map(Some).collect(),
-            None => vec![None; seeds.len()],
-        };
-        Ok(batch
-            .into_lanes()
-            .iter()
-            .zip(names)
-            .zip(tripped.iter().zip(drained))
-            .map(|((lane, name), (&tripped_round, drained))| {
-                self.lane_report(name, cap, tripped_round, drained, lane)
-            })
-            .collect())
-    }
-
-    /// Infallible [`Runner::try_run_batch`]: seed-indexed constructors that
-    /// always succeed. Panics on an empty seed list or a cap mismatch.
-    pub fn run_batch(
-        &self,
-        seeds: &[u64],
-        mut make_algorithm: impl FnMut(u64) -> Box<dyn Algorithm>,
-        mut make_adversary: impl FnMut(u64, Option<&Arc<dyn OnSchedule>>) -> Box<dyn Adversary>,
-    ) -> Vec<RunReport> {
-        self.try_run_batch(
-            seeds,
-            |seed| Ok(make_algorithm(seed)),
-            |seed, schedule| Ok(make_adversary(seed, schedule)),
-        )
-        .expect("infallible batch constructors")
-    }
-
-    /// [`Runner::run_batch`] as a stability probe: requires
-    /// [`Runner::probe_cap`] to be set (panics otherwise), so every lane
-    /// early-exits the moment its queues pass the cap.
-    pub fn probe_batch(
-        &self,
-        seeds: &[u64],
-        make_algorithm: impl FnMut(u64) -> Box<dyn Algorithm>,
-        make_adversary: impl FnMut(u64, Option<&Arc<dyn OnSchedule>>) -> Box<dyn Adversary>,
-    ) -> Vec<RunReport> {
-        assert!(self.probe_cap.is_some(), "probe_batch requires a probe_cap");
-        self.run_batch(seeds, make_algorithm, make_adversary)
-    }
-
-    /// Classify one finished simulator into a [`RunReport`] (shared by the
-    /// solo and batch paths so their reports are field-for-field alike).
-    fn lane_report(
-        &self,
-        name: String,
-        cap: usize,
-        tripped_round: Option<u64>,
-        drained: Option<bool>,
-        sim: &Simulator,
-    ) -> RunReport {
+        let drained = self.drain_rounds.map(|max| sim.run_until_drained(max));
         let metrics = sim.metrics().clone();
         let mut stability = classify(&metrics);
         if tripped_round.is_some() {
@@ -280,9 +216,9 @@ impl Runner {
             stability.verdict = crate::stability::Verdict::Diverging;
         }
         RunReport {
-            algorithm: name,
+            algorithm: sim.algorithm_name().to_string(),
             n: self.n,
-            cap,
+            cap: sim.config().cap,
             rho: self.rho,
             beta: self.beta,
             rounds: self.rounds,

@@ -50,27 +50,6 @@ struct HeardInfo {
     adopted_by: Option<StationId>,
 }
 
-/// One round of externally owned wake state, shared by every lane of a
-/// lockstep batch (see [`crate::batch`]). The wake set of a precomputed
-/// schedule is a pure function of the round, so S lanes of one scenario
-/// can read a single expansion instead of each filling their own:
-/// `awake`/`awake_mask` describe the round being executed, while
-/// `prev_awake`/`on_counts`/`last_on` must still describe the *previous*
-/// round — exactly what the adversary's [`SystemView`] saw in a solo run.
-/// The batch driver updates them only after every lane has stepped.
-pub(crate) struct SharedRound<'a> {
-    /// Wake mask of the round being executed.
-    pub(crate) awake_mask: &'a BitSet,
-    /// On-set of the round being executed, in enumeration order.
-    pub(crate) awake: &'a [StationId],
-    /// Wake mask of the previous round.
-    pub(crate) prev_awake: &'a BitSet,
-    /// Per-station switched-on counts over all previous rounds.
-    pub(crate) on_counts: &'a [u64],
-    /// Most recent switched-on round per station, over all previous rounds.
-    pub(crate) last_on: &'a [Option<Round>],
-}
-
 /// A complete simulated system: channel, stations, algorithm, adversary.
 pub struct Simulator {
     cfg: SimConfig,
@@ -205,37 +184,22 @@ impl Simulator {
     }
 
     /// Pre-size the queue series so sampling never reallocates mid-run.
-    pub(crate) fn reserve_series(&mut self, rounds: u64) {
+    fn reserve_series(&mut self, rounds: u64) {
         let samples = rounds / self.cfg.sample_every + 2;
         self.metrics.queue_series.reserve(samples as usize);
     }
 
     /// Execute a single round.
     pub fn step(&mut self) {
-        self.step_inner(None);
-    }
-
-    /// Execute a single round as one lane of a lockstep batch: the wake
-    /// set (and the adversary's view of previous rounds) comes from
-    /// `shared` instead of being recomputed here, and this lane leaves its
-    /// own wake bookkeeping untouched — the batch driver maintains it once
-    /// for all lanes.
-    pub(crate) fn step_shared(&mut self, shared: &SharedRound<'_>) {
-        self.step_inner(Some(shared));
-    }
-
-    fn step_inner(&mut self, shared: Option<&SharedRound<'_>>) {
         let r = self.round;
         let n = self.cfg.n;
 
         // 0. Fault roll. The fault stream is seeded from the fault spec, not
-        // the lane seed, so every lane of a batch draws the identical
-        // schedule here — jam and deaf faults are lockstep-compatible, while
-        // wake-affecting faults (crash, skew) force the batch driver into
-        // per-lane stepping (see `wake_faults_active`). A fresh crash onset
-        // is processed before injection: with loss semantics the station's
-        // queue empties now, and packets injected this very round land in
-        // the (empty) queue of the dark station.
+        // the scenario seed, so every seed of an ensemble draws the
+        // identical fault schedule. A fresh crash onset is processed before
+        // injection: with loss semantics the station's queue empties now,
+        // and packets injected this very round land in the (empty) queue of
+        // the dark station.
         let faults: Option<RoundFaults> = self.faults.as_mut().map(|p| p.roll(r, n));
         self.hooks.fault_rounds += u64::from(faults.is_some());
         if let Some(crashed) = faults.as_ref().and_then(|f| f.crash) {
@@ -261,9 +225,9 @@ impl Simulator {
                 round: r,
                 n,
                 queue_sizes: &self.queue_sizes,
-                prev_awake: shared.map_or(&self.prev_awake, |sh| sh.prev_awake),
-                on_counts: shared.map_or(&self.on_counts[..], |sh| sh.on_counts),
-                last_on: shared.map_or(&self.last_on[..], |sh| sh.last_on),
+                prev_awake: &self.prev_awake,
+                on_counts: &self.on_counts,
+                last_on: &self.last_on,
             };
             let mut plan = std::mem::take(&mut self.plan);
             self.adversary.plan_into(r, budget, &view, &mut plan);
@@ -281,84 +245,74 @@ impl Simulator {
         // 2. Wake-set determination, into the reusable scratch buffer. For
         // cached periodic schedules this is a packed row copy; otherwise
         // the schedule (or the stations' timers) enumerates, and the mask
-        // is rebuilt bit by bit. A batch lane skips all of it: the driver
-        // expanded this round's row once for every lane. The scratch is
-        // moved out for the duration of the round so the on-set can be
-        // borrowed from either place while `&mut self` methods run.
-        let mut local_awake = std::mem::take(&mut self.awake);
-        let mut local_mask = std::mem::replace(&mut self.awake_mask, BitSet::new(0));
-        if shared.is_none() {
-            let wake_faulted = self.faults.as_ref().is_some_and(|p| p.affects_wake());
-            if wake_faulted {
-                // Crash and skew change the wake set per station, so the
-                // packed cache is bypassed: every station is evaluated
-                // against its own (possibly offset) clock, and dark
-                // stations are dropped. Adaptive timers still expire while
-                // a station is dark — it resumes with its pre-crash power
-                // state when the outage ends.
-                let plan = self.faults.as_ref().expect("wake-faulted plan");
-                self.hooks.wake_enum_rounds += 1;
-                local_awake.clear();
-                local_mask.clear();
-                for s in 0..n {
-                    if let Power::OffUntil(w) = self.power[s] {
-                        if w <= r {
-                            self.power[s] = Power::On;
-                        }
-                    }
-                    let on = match &self.wake {
-                        WakeMode::Scheduled(sch) => sch.is_on(s, r.saturating_add(plan.skew_of(s))),
-                        WakeMode::Adaptive => self.power[s] == Power::On,
-                    };
-                    if on && !plan.is_crashed(s, r) {
-                        local_awake.push(s);
-                        local_mask.insert(s);
+        // is rebuilt bit by bit. The scratch is moved out for the duration
+        // of the round so the on-set can be borrowed while `&mut self`
+        // methods run.
+        let mut awake = std::mem::take(&mut self.awake);
+        let mut awake_mask = std::mem::replace(&mut self.awake_mask, BitSet::new(0));
+        let wake_faulted = self.faults.as_ref().is_some_and(|p| p.affects_wake());
+        if wake_faulted {
+            // Crash and skew change the wake set per station, so the
+            // packed cache is bypassed: every station is evaluated against
+            // its own (possibly offset) clock, and dark stations are
+            // dropped. Adaptive timers still expire while a station is
+            // dark — it resumes with its pre-crash power state when the
+            // outage ends.
+            let plan = self.faults.as_ref().expect("wake-faulted plan");
+            self.hooks.wake_enum_rounds += 1;
+            awake.clear();
+            awake_mask.clear();
+            for s in 0..n {
+                if let Power::OffUntil(w) = self.power[s] {
+                    if w <= r {
+                        self.power[s] = Power::On;
                     }
                 }
-            } else {
-                match (&self.cache, &self.wake) {
-                    (Some(table), _) => {
-                        self.hooks.wake_table_rounds += 1;
-                        table.fill(r, &mut local_mask, &mut local_awake)
+                let on = match &self.wake {
+                    WakeMode::Scheduled(sch) => sch.is_on(s, r.saturating_add(plan.skew_of(s))),
+                    WakeMode::Adaptive => self.power[s] == Power::On,
+                };
+                if on && !plan.is_crashed(s, r) {
+                    awake.push(s);
+                    awake_mask.insert(s);
+                }
+            }
+        } else {
+            match (&self.cache, &self.wake) {
+                (Some(table), _) => {
+                    self.hooks.wake_table_rounds += 1;
+                    table.fill(r, &mut awake_mask, &mut awake)
+                }
+                (None, WakeMode::Scheduled(s)) => {
+                    self.hooks.wake_enum_rounds += 1;
+                    s.on_set_into(n, r, &mut awake);
+                    awake_mask.clear();
+                    for &s in &awake {
+                        awake_mask.insert(s);
                     }
-                    (None, WakeMode::Scheduled(s)) => {
-                        self.hooks.wake_enum_rounds += 1;
-                        s.on_set_into(n, r, &mut local_awake);
-                        local_mask.clear();
-                        for &s in &local_awake {
-                            local_mask.insert(s);
+                }
+                (None, WakeMode::Adaptive) => {
+                    self.hooks.wake_enum_rounds += 1;
+                    awake.clear();
+                    awake_mask.clear();
+                    for s in 0..n {
+                        if let Power::OffUntil(w) = self.power[s] {
+                            if w <= r {
+                                self.power[s] = Power::On;
+                            }
                         }
-                    }
-                    (None, WakeMode::Adaptive) => {
-                        self.hooks.wake_enum_rounds += 1;
-                        local_awake.clear();
-                        local_mask.clear();
-                        for s in 0..n {
-                            if let Power::OffUntil(w) = self.power[s] {
-                                if w <= r {
-                                    self.power[s] = Power::On;
-                                }
-                            }
-                            if self.power[s] == Power::On {
-                                local_awake.push(s);
-                                local_mask.insert(s);
-                            }
+                        if self.power[s] == Power::On {
+                            awake.push(s);
+                            awake_mask.insert(s);
                         }
                     }
                 }
             }
         }
-        self.hooks.wake_shared_rounds += u64::from(shared.is_some());
-        let (awake, awake_mask): (&[StationId], &BitSet) = match shared {
-            Some(sh) => (sh.awake, sh.awake_mask),
-            None => (&local_awake, &local_mask),
-        };
         let awake_count = awake.len();
-        if shared.is_none() {
-            for &s in awake {
-                self.on_counts[s] += 1;
-                self.last_on[s] = Some(r);
-            }
+        for &s in &awake {
+            self.on_counts[s] += 1;
+            self.last_on[s] = Some(r);
         }
         if awake_count > self.cfg.cap {
             self.violations.cap_exceeded += 1;
@@ -368,7 +322,7 @@ impl Simulator {
 
         // 3. Actions.
         self.transmissions.clear();
-        for &s in awake {
+        for &s in &awake {
             let ctx = ProtocolCtx { id: s, n, cap: self.cfg.cap, round: r };
             match self.protocols[s].act(&ctx, &self.queues[s]) {
                 Action::Transmit(m) => self.transmissions.push((s, m)),
@@ -461,7 +415,7 @@ impl Simulator {
         if deaf.is_some() {
             self.metrics.deaf_rounds += 1;
         }
-        for &s in awake {
+        for &s in &awake {
             let ctx = ProtocolCtx { id: s, n, cap: self.cfg.cap, round: r };
             let mut effects = Effects::default();
             let fb_s = if deaf == Some(s) { Feedback::Silence } else { fb };
@@ -536,11 +490,9 @@ impl Simulator {
                 .push(QueueSample { round: r, total_queued: self.metrics.total_queued });
             self.next_sample = r.saturating_add(self.cfg.sample_every);
         }
-        if shared.is_none() {
-            self.prev_awake.copy_from(awake_mask);
-        }
-        self.awake = local_awake;
-        self.awake_mask = local_mask;
+        self.prev_awake.copy_from(&awake_mask);
+        self.awake = awake;
+        self.awake_mask = awake_mask;
         self.round += 1;
     }
 
@@ -684,40 +636,6 @@ impl Simulator {
     /// Read access to a station's queue (tests and diagnostics).
     pub fn station_queue(&self, s: StationId) -> &IndexedQueue {
         &self.queues[s]
-    }
-
-    /// The expanded periodic schedule, when one was cached at construction
-    /// (the precondition for lockstep batching — see [`crate::batch`]).
-    pub(crate) fn schedule_cache(&self) -> Option<&ScheduleTable> {
-        self.cache.as_ref()
-    }
-
-    /// Whether injected faults change this lane's wake set (crash or skew).
-    /// Such lanes cannot read a shared schedule expansion, so the batch
-    /// driver steps them individually (see [`crate::batch`]).
-    pub(crate) fn wake_faults_active(&self) -> bool {
-        self.faults.as_ref().is_some_and(|p| p.affects_wake())
-    }
-
-    /// The adversary-view wake bookkeeping `(prev_awake, on_counts,
-    /// last_on)` as of the current round.
-    pub(crate) fn adversary_view_state(&self) -> (&BitSet, &[u64], &[Option<Round>]) {
-        (&self.prev_awake, &self.on_counts, &self.last_on)
-    }
-
-    /// Overwrite the adversary-view wake bookkeeping. The batch driver
-    /// calls this when handing lanes back to solo execution, so a lane's
-    /// own (skipped during lockstep) state matches what solo stepping
-    /// would have produced.
-    pub(crate) fn sync_adversary_view(
-        &mut self,
-        prev_awake: &BitSet,
-        on_counts: &[u64],
-        last_on: &[Option<Round>],
-    ) {
-        self.prev_awake.copy_from(prev_awake);
-        self.on_counts.copy_from_slice(on_counts);
-        self.last_on.copy_from_slice(last_on);
     }
 }
 

@@ -24,10 +24,10 @@
 //!   algorithms keep their own timers and are unaffected.)
 //!
 //! The fault stream is private to [`FaultPlan`]: it is a separate
-//! [`SmallRng`] seeded from [`FaultSpec::seed`], independent of the lane
-//! seed, so every lane of a [`crate::BatchSimulator`] sees the identical
-//! fault schedule and lane `i` stays byte-identical to a solo run with seed
-//! `i`. Draws happen in a fixed order each round — jam, crash (plus a
+//! [`SmallRng`] seeded from [`FaultSpec::seed`], independent of the
+//! scenario seed, so the independent lanes of a seed ensemble all see the
+//! identical fault schedule and lane `i` is byte-identical to a solo run
+//! with seed `i`. Draws happen in a fixed order each round — jam, crash (plus a
 //! station draw on a hit), deaf (plus a station draw on a hit) — and a
 //! family whose rate is zero draws nothing, so enabling one family never
 //! perturbs the stream a disabled family would have consumed.
@@ -88,9 +88,8 @@ impl FaultSpec {
 
     /// Whether any family changes the wake set (crash or skew).
     ///
-    /// Such faults are incompatible with the lockstep schedule cache shared
-    /// across batch lanes; [`crate::BatchSimulator`] falls back to per-lane
-    /// stepping when this is true.
+    /// Such faults bypass the packed schedule cache: the engine evaluates
+    /// every station against its own clock when this is true.
     pub fn affects_wake(&self) -> bool {
         self.crash.num() > 0 || self.skew > 0
     }

@@ -25,23 +25,19 @@ pub struct SimHooks {
     /// Rounds whose wake set was enumerated station by station (adaptive
     /// timers, uncached schedules, or wake-affecting faults).
     pub wake_enum_rounds: u64,
-    /// Rounds whose wake set was read from a lockstep batch's shared
-    /// expansion (the lane skipped wake determination entirely).
-    pub wake_shared_rounds: u64,
     /// Protocol `on_feedback` invocations (one per switched-on station per
     /// round) — the dominant per-round work for dense wake sets.
     pub feedback_calls: u64,
 }
 
 impl SimHooks {
-    /// Fold another lane's counters into this one (used by the batch
-    /// driver to report per-batch totals).
+    /// Fold another run's counters into this one (to total the
+    /// independent lanes of a seed ensemble, say).
     pub fn merge(&mut self, other: &SimHooks) {
         self.rounds += other.rounds;
         self.fault_rounds += other.fault_rounds;
         self.wake_table_rounds += other.wake_table_rounds;
         self.wake_enum_rounds += other.wake_enum_rounds;
-        self.wake_shared_rounds += other.wake_shared_rounds;
         self.feedback_calls += other.feedback_calls;
     }
 }
@@ -57,16 +53,14 @@ mod tests {
             fault_rounds: 2,
             wake_table_rounds: 3,
             wake_enum_rounds: 4,
-            wake_shared_rounds: 5,
-            feedback_calls: 6,
+            feedback_calls: 5,
         };
         let b = SimHooks {
             rounds: 10,
             fault_rounds: 20,
             wake_table_rounds: 30,
             wake_enum_rounds: 40,
-            wake_shared_rounds: 50,
-            feedback_calls: 60,
+            feedback_calls: 50,
         };
         a.merge(&b);
         assert_eq!(
@@ -76,8 +70,7 @@ mod tests {
                 fault_rounds: 22,
                 wake_table_rounds: 33,
                 wake_enum_rounds: 44,
-                wake_shared_rounds: 55,
-                feedback_calls: 66,
+                feedback_calls: 55,
             }
         );
     }

@@ -66,7 +66,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod bitset;
 pub mod config;
 pub mod engine;
@@ -84,7 +83,6 @@ pub mod schedule;
 pub mod trace;
 pub mod validate;
 
-pub use batch::BatchSimulator;
 pub use bitset::BitSet;
 pub use config::SimConfig;
 pub use engine::Simulator;

@@ -830,7 +830,7 @@ fn run(args: &[String]) -> ExitCode {
     };
     let spec = opts.to_spec();
 
-    // Seed batch: one lockstep lane per seed, one verdict/digest row per
+    // Seed batch: one independent lane per seed, one verdict/digest row per
     // lane. Lane digests are exactly what `--seed <s>` solo runs print —
     // CI diffs the two.
     if let Some(seeds) = &opts.seeds {

@@ -427,7 +427,7 @@ pub struct Opts {
     pub adversary: String,
     /// Adversary seed.
     pub seed: u64,
-    /// Seed batch (`--seeds`): run one lockstep batch lane per seed and
+    /// Seed batch (`--seeds`): run one independent lane per seed and
     /// print per-lane verdict/digest rows instead of one full report.
     pub seeds: Option<Vec<u64>>,
     /// Optional drain budget after the run.

@@ -1,21 +1,22 @@
 //! Batch lane exactness over the full golden registry matrix.
 //!
 //! For every scenario in the golden-determinism matrix (every registry
-//! algorithm × its applicable adversaries × β ∈ {1, 3/2}), a lockstep
-//! seed batch is run through the same executor the frontier's seed
-//! ensembles use ([`emac_core::campaign::execute_batch`]) and every lane's
-//! full [`RunReport`] digest is compared against a solo run of the same
-//! scenario with that lane's seed. This pins the tentpole claim: batching
-//! is a pure execution strategy — lane `i` is bit-for-bit the solo
-//! execution with seed `i`, for periodic-schedule algorithms (shared wake
-//! state), adaptive ones, and the aperiodic duty-cycle baseline (per-lane
-//! fallback) alike.
+//! algorithm × its applicable adversaries × β ∈ {1, 3/2}), a seed batch is
+//! run through the same executor the frontier's seed ensembles use
+//! ([`emac_core::campaign::execute_batch`]) and every lane's full
+//! [`RunReport`] digest is compared against a solo run of the same
+//! scenario with that lane's seed. Batch lanes are independent solo
+//! simulations, so lane `i` must be bit-for-bit the solo execution with
+//! seed `i` — for periodic-schedule algorithms, adaptive ones, and the
+//! aperiodic duty-cycle baseline alike, with and without faults, and for
+//! probes whose lanes trip the probe cap.
 //!
 //! [`RunReport`]: emac_core::runner::RunReport
 
 use emac::registry::Registry;
 use emac_core::campaign::{execute_batch, Campaign, ScenarioSpec};
 use emac_core::digest::report_digest_hex;
+use emac_core::runner::RunReport;
 use emac_sim::{FaultSpec, Rate};
 
 const N: usize = 8;
@@ -68,12 +69,16 @@ fn matrix() -> Vec<ScenarioSpec> {
     specs
 }
 
-fn assert_lane_exact(spec: &ScenarioSpec) {
+/// Run `spec` as a batch over `seeds` and assert every lane equals the
+/// solo run with its seed: the report digest and the probe's tripping
+/// round (probe telemetry the digest deliberately excludes). Returns the
+/// lanes.
+fn assert_lane_exact_over(spec: &ScenarioSpec, seeds: &[u64]) -> Vec<RunReport> {
     let label = spec.display_label();
-    let lanes = execute_batch(spec, &SEEDS, &Registry)
+    let lanes = execute_batch(spec, seeds, &Registry)
         .unwrap_or_else(|e| panic!("{label}: batch failed: {e}"));
-    assert_eq!(lanes.len(), SEEDS.len());
-    for (&seed, lane) in SEEDS.iter().zip(&lanes) {
+    assert_eq!(lanes.len(), seeds.len());
+    for (&seed, lane) in seeds.iter().zip(&lanes) {
         let mut solo_spec = spec.clone();
         solo_spec.seed = seed;
         let solo = Campaign::new().threads(1).run(std::slice::from_ref(&solo_spec), &Registry);
@@ -86,7 +91,16 @@ fn assert_lane_exact(spec: &ScenarioSpec) {
             report_digest_hex(solo),
             "{label}: lane digest for seed {seed} diverged from the solo run"
         );
+        assert_eq!(
+            lane.tripped_round, solo.tripped_round,
+            "{label}: lane tripping round for seed {seed} diverged from the solo run"
+        );
     }
+    lanes
+}
+
+fn assert_lane_exact(spec: &ScenarioSpec) {
+    assert_lane_exact_over(spec, &SEEDS);
 }
 
 #[test]
@@ -98,13 +112,12 @@ fn every_matrix_scenario_is_lane_exact() {
     }
 }
 
-/// Lane exactness under every fault family. Jamming and deaf rounds keep
-/// the lockstep shared-schedule path (the fault stream is lane-independent
-/// and touches no wake state); crash and skew change the wake set, so the
-/// batch falls back to per-lane stepping — both routes must stay
-/// bit-for-bit equal to solo runs. Scenarios cover the periodic-schedule
-/// path (k-cycle, shared wake cache) and the aperiodic per-lane fallback
-/// (duty-cycle); the control-message algorithms (count-hop, orchestra,
+/// Lane exactness under every fault family. Jamming and deaf rounds leave
+/// the wake set alone (the fault stream is lane-independent); crash and
+/// skew change it, so the engine bypasses its schedule cache — both routes
+/// must stay bit-for-bit equal to solo runs. Scenarios cover the
+/// periodic-schedule path (k-cycle, cached wake table) and the aperiodic
+/// path (duty-cycle); the control-message algorithms (count-hop, orchestra,
 /// adjust-window) assume a reliable channel by construction and abort when
 /// jamming eats a message they must hear, so only the wake-only skew
 /// family covers the adaptive route (below).
@@ -163,9 +176,9 @@ fn faulty_scenarios_are_lane_exact() {
 
     // Adaptive algorithms keep their own timers, so clock skew is the one
     // family that is defined for them (it only offsets `OnSchedule`
-    // lookups); an active wake-affecting plan still forces the batch onto
-    // the per-lane fallback, which must stay lane-exact for the adaptive
-    // stepping path too.
+    // lookups); an active wake-affecting plan sends the engine down its
+    // per-station wake path, which must stay lane-exact for adaptive
+    // stepping too.
     let spec = ScenarioSpec::new("count-hop", "uniform")
         .n(N)
         .k(K)
@@ -175,4 +188,25 @@ fn faulty_scenarios_are_lane_exact() {
         .faults(FaultSpec { skew: 3, seed: 5, ..Default::default() })
         .label("count-hop|uniform|faults=skew");
     assert_lane_exact(&spec);
+}
+
+/// Lane exactness for probes: with `probe_cap` set, a flooded k-Cycle lane
+/// stops the round its queues pass the cap. Every lane — tripped at its
+/// own seed-dependent round or not — must equal the solo probe with its
+/// seed, tripping round included.
+#[test]
+fn early_exit_lane_matches_solo_probe() {
+    let spec = ScenarioSpec::new("k-cycle", "uniform")
+        .n(N)
+        .k(K)
+        .rho(Rate::new(1, 1))
+        .rounds(ROUNDS)
+        .seed(7)
+        .probe_cap(64)
+        .label("k-cycle|uniform|probe_cap=64");
+    let seeds = [0, 1, 2, 3, 4, 5, 6, 7];
+    let lanes = assert_lane_exact_over(&spec, &seeds);
+    let tripped: Vec<u64> = lanes.iter().filter_map(|l| l.tripped_round).collect();
+    assert_eq!(tripped.len(), seeds.len(), "every flooded lane must trip: {tripped:?}");
+    assert!(tripped.iter().all(|&r| r < ROUNDS / 2), "lanes must trip early: {tripped:?}");
 }

@@ -1,23 +1,23 @@
 //! Campaign checkpoints: crash-safe progress tracking for long sweeps.
 //!
-//! A [`Checkpoint`] is a small append-only text file (`campaign.ckpt`,
+//! A [`Checkpoint`] is a [durable journal](crate::ckptio) (`campaign.ckpt`,
 //! conventionally next to the campaign's output) recording which scenario
 //! indices have been durably written to the result sink. The executor
-//! appends one fsync'd line per completed scenario only **after** the
-//! sink accepted the row *and* made it durable
+//! appends a scenario's record only **after** the sink accepted the row
+//! *and* made it durable
 //! ([`ResultSink::sync`](super::sink::ResultSink::sync)), so a crash at
 //! any instant leaves the checkpoint claiming no more than the output
-//! holds. The opposite overhang — complete or torn output rows whose
-//! checkpoint line never landed — is reconciled at resume time by
-//! truncating the output back to exactly the checkpointed rows
-//! ([`truncate_after_lines`]); those scenarios re-execute, so a resumed
-//! campaign's final output is byte-identical to an uninterrupted run.
+//! holds. The opposite overhang — output rows whose record never landed —
+//! is trimmed at resume time by
+//! [`reconcile_output`](crate::ckptio::reconcile_output); those scenarios
+//! re-execute, so a resumed campaign's final output is byte-identical to
+//! an uninterrupted run.
 //!
 //! The header pins a digest of the full spec list ([`spec_list_digest`]),
 //! so resuming against an edited spec file is refused instead of silently
 //! producing a frankenstein result.
 //!
-//! # File format
+//! # Records
 //!
 //! ```text
 //! emac-campaign-ckpt v1
@@ -28,24 +28,31 @@
 //! …
 //! ```
 //!
-//! Lines are appended in completion (= spec) order, but the parser accepts
-//! any subset; a torn trailing line (no final newline, from a mid-write
-//! kill) is ignored.
+//! One `done <index>` per scenario, in sink-acceptance order: the j-th
+//! record names the scenario behind the j-th output row. Every index is
+//! below `total` and is recorded at most once.
 
 use std::collections::BTreeSet;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::fmt::Display;
+use std::io;
+use std::path::Path;
 
 use super::ScenarioSpec;
-use crate::ckptio::repair_torn_tail;
-// Re-exported where it historically lived; the implementation moved to
-// [`crate::ckptio`] when the frontier checkpoint and shard claim log
-// became additional consumers.
-pub use crate::ckptio::truncate_after_lines;
+use crate::ckptio::{self, Header, Journal};
 use crate::digest::Fnv64;
 
 const MAGIC: &str = "emac-campaign-ckpt v1";
+
+fn header(digest: u64, total: usize) -> Header {
+    Header {
+        magic: MAGIC,
+        what: "campaign checkpoint",
+        count_key: "total",
+        count_noun: "scenario count",
+        digest,
+        count: total,
+    }
+}
 
 /// FNV-1a digest of a spec list: the scenario count followed by every
 /// spec's canonical compact JSON rendering. Two spec files that expand to
@@ -64,10 +71,9 @@ pub fn spec_list_digest(specs: &[ScenarioSpec]) -> u64 {
 /// for the file format and durability contract.
 #[derive(Debug)]
 pub struct Checkpoint {
-    path: PathBuf,
+    journal: Journal,
     total: usize,
     done: BTreeSet<usize>,
-    file: File,
 }
 
 impl Checkpoint {
@@ -75,12 +81,8 @@ impl Checkpoint {
     /// for a campaign of `total` scenarios whose spec list digests to
     /// `digest`. The header is written and fsync'd before returning.
     pub fn fresh(path: &Path, digest: u64, total: usize) -> Result<Self, String> {
-        let mut file =
-            File::create(path).map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        file.write_all(format!("{MAGIC}\ndigest {digest:016x}\ntotal {total}\n").as_bytes())
-            .and_then(|()| file.sync_all())
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        Ok(Self { path: path.to_path_buf(), total, done: BTreeSet::new(), file })
+        let journal = Journal::create(path, &header(digest, total)).map_err(|e| error(path, e))?;
+        Ok(Self { journal, total, done: BTreeSet::new() })
     }
 
     /// Resume from the checkpoint at `path`, verifying that it belongs to
@@ -88,31 +90,24 @@ impl Checkpoint {
     /// `--resume` on a never-started campaign just runs it. A digest or
     /// count mismatch is refused.
     pub fn resume(path: &Path, digest: u64, total: usize) -> Result<Self, String> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Self::fresh(path, digest, total);
-            }
-            Err(e) => return Err(format!("checkpoint {}: {e}", path.display())),
-        };
-        let done = parse_body(&text, digest, total)
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        repair_torn_tail(path, &text).map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        Ok(Self { path: path.to_path_buf(), total, done, file })
+        let mut done = BTreeSet::new();
+        match Journal::open(path, &header(digest, total), |line| {
+            replay(&mut done, total, line).map(drop)
+        }) {
+            Ok(journal) => Ok(Self { journal, total, done }),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Self::fresh(path, digest, total),
+            Err(e) => Err(error(path, e)),
+        }
     }
 
     /// Record scenario `index` as durably written. Appends one line and
     /// fsyncs it before returning, so a completed scenario survives any
-    /// later crash.
+    /// later crash. An index out of range or already recorded is refused
+    /// and nothing is written.
     pub fn record(&mut self, index: usize) -> Result<(), String> {
-        debug_assert!(index < self.total);
-        writeln!(self.file, "done {index}")
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("checkpoint {}: {e}", self.path.display()))?;
+        let path = self.journal.path();
+        check(&self.done, self.total, index).map_err(|e| error(path, e))?;
+        self.journal.append(format_args!("done {index}")).map_err(|e| error(path, e))?;
         self.done.insert(index);
         Ok(())
     }
@@ -139,77 +134,51 @@ impl Checkpoint {
     }
 }
 
-fn parse_body(text: &str, digest: u64, total: usize) -> Result<BTreeSet<usize>, String> {
-    parse_done_ordered(text, digest, total).map(|done| done.into_iter().collect())
+/// The scenario indices the checkpoint at `path` records, in append
+/// order: the j-th names the scenario behind the j-th output row, the
+/// pairing `shard::merge` uses to stitch shard outputs whose row order is
+/// not globally ascending. Reads without repairing or creating the file.
+pub(crate) fn recorded(path: &Path, digest: u64, total: usize) -> io::Result<Vec<usize>> {
+    let mut done = BTreeSet::new();
+    let mut order = Vec::new();
+    ckptio::read(path, &header(digest, total), |line| {
+        replay(&mut done, total, line).map(|index| order.push(index))
+    })?;
+    Ok(order)
 }
 
-/// Parse a campaign checkpoint body preserving the *order* in which `done`
-/// lines were appended. The executor appends them in sink-acceptance
-/// order, so the j-th entry names the scenario behind the j-th output row
-/// — the pairing `shard::merge` relies on to stitch shard outputs whose
-/// row order is not globally ascending. A duplicate index is refused here
-/// (it would desynchronise that pairing), which a set-based parse would
-/// silently absorb.
-pub(crate) fn parse_done_ordered(
-    text: &str,
-    digest: u64,
-    total: usize,
-) -> Result<Vec<usize>, String> {
-    let mut lines = text.split('\n');
-    if lines.next() != Some(MAGIC) {
-        return Err("not a campaign checkpoint (bad magic line)".into());
+fn error(path: &Path, e: impl Display) -> String {
+    format!("checkpoint {}: {e}", path.display())
+}
+
+/// Parse one record, check it against the records before it, and add it.
+fn replay(done: &mut BTreeSet<usize>, total: usize, line: &str) -> Result<usize, String> {
+    let index = line
+        .strip_prefix("done ")
+        .and_then(|i| i.parse::<usize>().ok())
+        .ok_or_else(|| format!("malformed checkpoint line {line:?}"))?;
+    check(done, total, index)?;
+    done.insert(index);
+    Ok(index)
+}
+
+/// The invariant every record keeps, on append and on replay alike.
+fn check(done: &BTreeSet<usize>, total: usize, index: usize) -> Result<(), String> {
+    if index >= total {
+        return Err(format!("scenario {index} is out of range for a {total}-scenario run"));
     }
-    let recorded = lines
-        .next()
-        .and_then(|l| l.strip_prefix("digest "))
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or("malformed digest line")?;
-    if recorded != digest {
-        return Err(format!(
-            "spec digest mismatch (checkpoint {recorded:016x}, campaign {digest:016x}): \
-             the spec list or output options changed since this campaign started; \
-             refusing to resume"
-        ));
+    if done.contains(&index) {
+        return Err(format!("scenario {index} recorded twice"));
     }
-    let recorded_total = lines
-        .next()
-        .and_then(|l| l.strip_prefix("total "))
-        .and_then(|t| t.parse::<usize>().ok())
-        .ok_or("malformed total line")?;
-    if recorded_total != total {
-        return Err(format!(
-            "scenario count mismatch (checkpoint {recorded_total}, spec list {total}); \
-             refusing to resume"
-        ));
-    }
-    let mut done = Vec::new();
-    let mut seen = BTreeSet::new();
-    // A file killed mid-append may end in a torn fragment; everything
-    // before the final newline is trustworthy, the tail is not.
-    let body: Vec<&str> = lines.collect();
-    let complete = if text.ends_with('\n') { body.len() } else { body.len().saturating_sub(1) };
-    for line in &body[..complete] {
-        if line.is_empty() {
-            continue;
-        }
-        let index = line
-            .strip_prefix("done ")
-            .and_then(|i| i.parse::<usize>().ok())
-            .ok_or_else(|| format!("malformed checkpoint line {line:?}"))?;
-        if index >= total {
-            return Err(format!("checkpoint records scenario {index} of a {total}-scenario run"));
-        }
-        if !seen.insert(index) {
-            return Err(format!("checkpoint records scenario {index} twice"));
-        }
-        done.push(index);
-    }
-    Ok(done)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("emac-ckpt-unit-{}-{tag}.ckpt", std::process::id()))
@@ -288,7 +257,9 @@ mod tests {
     fn rejects_out_of_range_and_foreign_files() {
         let path = temp_path("range");
         std::fs::write(&path, format!("{MAGIC}\ndigest {:016x}\ntotal 2\ndone 5\n", 3u64)).unwrap();
-        assert!(Checkpoint::resume(&path, 3, 2).unwrap_err().contains("records scenario 5"));
+        assert!(Checkpoint::resume(&path, 3, 2)
+            .unwrap_err()
+            .contains("scenario 5 is out of range"));
         std::fs::write(&path, "something else\n").unwrap();
         assert!(Checkpoint::resume(&path, 3, 2).unwrap_err().contains("bad magic"));
         let _ = std::fs::remove_file(&path);
@@ -296,11 +267,32 @@ mod tests {
 
     #[test]
     fn ordered_parse_preserves_append_order_and_refuses_duplicates() {
+        let path = temp_path("ordered");
         let head = format!("{MAGIC}\ndigest {:016x}\ntotal 6\n", 5u64);
-        let done = parse_done_ordered(&format!("{head}done 4\ndone 1\ndone 3\n"), 5, 6).unwrap();
-        assert_eq!(done, vec![4, 1, 3], "append order preserved, not sorted");
-        let err = parse_done_ordered(&format!("{head}done 2\ndone 2\n"), 5, 6).unwrap_err();
-        assert!(err.contains("scenario 2 twice"), "{err}");
+        std::fs::write(&path, format!("{head}done 4\ndone 1\ndone 3\n")).unwrap();
+        assert_eq!(recorded(&path, 5, 6).unwrap(), vec![4, 1, 3], "append order, not sorted");
+        std::fs::write(&path, format!("{head}done 2\ndone 2\n")).unwrap();
+        let err = recorded(&path, 5, 6).unwrap_err().to_string();
+        assert!(err.contains("scenario 2 recorded twice"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn record_refuses_what_resume_would_refuse_and_writes_nothing() {
+        let path = temp_path("refuse");
+        let mut ck = Checkpoint::fresh(&path, 4, 3).unwrap();
+        ck.record(2).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let err = ck.record(2).unwrap_err();
+        assert!(err.contains("scenario 2 recorded twice"), "{err}");
+        let err = ck.record(3).unwrap_err();
+        assert!(err.contains("scenario 3 is out of range"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before, "a refused record writes nothing");
+        assert_eq!(ck.completed(), 1);
+        drop(ck);
+        let ck = Checkpoint::resume(&path, 4, 3).unwrap();
+        assert_eq!(ck.remaining(), vec![0, 1]);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

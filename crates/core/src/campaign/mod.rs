@@ -77,7 +77,7 @@ use crate::algorithm::Algorithm;
 use crate::runner::{RunReport, Runner};
 use json::Json;
 
-pub use checkpoint::{spec_list_digest, truncate_after_lines, Checkpoint};
+pub use checkpoint::{spec_list_digest, Checkpoint};
 pub use expr::{Expr, ExprEnv, RateAxis};
 pub use row::CSV_HEADER;
 pub use sink::{

@@ -5,13 +5,13 @@
 //! is a deterministic function of the per-point verdict sequence, so a
 //! checkpoint need only record `probe` and `row` lines and a resume
 //! *replays* them through the same state machine to land exactly where a
-//! killed run stopped, mid-bisection included. Same discipline as the
-//! campaign checkpoint: every line is fsync'd before the engine moves on,
-//! a `row` line is appended only after the output sink made the row
-//! durable, the header digest binds the frontier spec **and** the output
-//! format, and a torn trailing line (kill mid-append) is ignored.
+//! killed run stopped, mid-bisection included. The file is a
+//! [durable journal](crate::ckptio): every record is fsync'd before the
+//! engine moves on, a `row` record is appended only after the output sink
+//! made the row durable, and the header digest binds the frontier spec
+//! **and** the output format.
 //!
-//! # File format
+//! # Records
 //!
 //! ```text
 //! emac-frontier-ckpt v1
@@ -32,14 +32,30 @@
 //! re-running a single probe. An ensemble spec refuses to resume from a
 //! checkpoint whose probe lines lack lane counts (a pre-band artifact):
 //! replaying them would silently drop band state.
+//!
+//! Every point is below `points`, a lane tally has at least one lane and
+//! no more diverging lanes than lanes, and `row <index>` names each point
+//! at most once — in map order for a sequential checkpoint.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::fmt;
+use std::io;
+use std::path::Path;
 
+use crate::ckptio::{self, Header, Journal};
 use crate::stability::Verdict;
 
 const MAGIC: &str = "emac-frontier-ckpt v1";
+
+fn header(digest: u64, points: usize) -> Header {
+    Header {
+        magic: MAGIC,
+        what: "frontier checkpoint",
+        count_key: "points",
+        count_noun: "map size",
+        digest,
+        count: points,
+    }
+}
 
 /// One recorded probe: which map point, what the (majority) verdict was,
 /// and — for seed-ensemble probes — the final lane tally.
@@ -69,28 +85,130 @@ pub struct ProbeRecord {
 /// shard outputs back into map order.
 #[derive(Debug)]
 pub struct FrontierCheckpoint {
-    path: PathBuf,
-    points: usize,
-    probes: Vec<ProbeRecord>,
-    rows: Vec<usize>,
-    sequential: bool,
-    file: File,
+    journal: Journal,
+    recorded: Recorded,
 }
 
-fn verdict_letter(v: Verdict) -> char {
-    match v {
-        Verdict::Stable => 's',
-        Verdict::Diverging => 'd',
-        Verdict::Inconclusive => 'i',
+/// One journal record.
+enum Record {
+    Probe(ProbeRecord),
+    Row(usize),
+}
+
+impl fmt::Display for Record {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Record::Probe(ProbeRecord { point, verdict, lanes }) => {
+                let letter = match verdict {
+                    Verdict::Stable => 's',
+                    Verdict::Diverging => 'd',
+                    Verdict::Inconclusive => 'i',
+                };
+                write!(f, "probe {point} {letter}")?;
+                match lanes {
+                    Some((diverging, total)) => write!(f, " {diverging} {total}"),
+                    None => Ok(()),
+                }
+            }
+            Record::Row(index) => write!(f, "row {index}"),
+        }
     }
 }
 
-fn verdict_from_letter(s: &str) -> Option<Verdict> {
-    match s {
-        "s" => Some(Verdict::Stable),
-        "d" => Some(Verdict::Diverging),
-        "i" => Some(Verdict::Inconclusive),
-        _ => None,
+impl Record {
+    fn parse(line: &str) -> Result<Self, String> {
+        if let Some(rest) = line.strip_prefix("probe ") {
+            let malformed = || format!("malformed probe line {line:?}");
+            let mut fields = rest.split(' ');
+            let point = fields.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?;
+            let verdict = match fields.next() {
+                Some("s") => Verdict::Stable,
+                Some("d") => Verdict::Diverging,
+                Some("i") => Verdict::Inconclusive,
+                _ => return Err(malformed()),
+            };
+            // Optional ensemble tally: `<diverging> <total>` lane counts.
+            let lanes = match fields.next() {
+                None => None,
+                Some(diverging) => {
+                    let diverging = diverging.parse().map_err(|_| malformed())?;
+                    let total = fields.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?;
+                    if fields.next().is_some() {
+                        return Err(malformed());
+                    }
+                    Some((diverging, total))
+                }
+            };
+            Ok(Record::Probe(ProbeRecord { point, verdict, lanes }))
+        } else if let Some(index) = line.strip_prefix("row ") {
+            index.parse().map(Record::Row).map_err(|_| format!("malformed row line {line:?}"))
+        } else {
+            Err(format!("malformed checkpoint line {line:?}"))
+        }
+    }
+}
+
+/// What the records so far say, and the invariants each new one keeps.
+#[derive(Debug)]
+struct Recorded {
+    points: usize,
+    sequential: bool,
+    probes: Vec<ProbeRecord>,
+    rows: Vec<usize>,
+}
+
+impl Recorded {
+    fn new(points: usize, sequential: bool) -> Self {
+        Self { points, sequential, probes: Vec::new(), rows: Vec::new() }
+    }
+
+    /// The invariant every record keeps, on append and on replay alike.
+    fn check(&self, record: &Record) -> Result<(), String> {
+        let points = self.points;
+        match *record {
+            Record::Probe(ProbeRecord { point, lanes, .. }) => {
+                if point >= points {
+                    return Err(format!("probe for map point {point} of a {points}-point map"));
+                }
+                if let Some((diverging, total)) = lanes {
+                    if total == 0 || diverging > total {
+                        return Err(format!(
+                            "impossible lane tally for map point {point}: {diverging} of \
+                             {total} lanes diverging"
+                        ));
+                    }
+                }
+            }
+            Record::Row(index) => {
+                if self.sequential && index != self.rows.len() {
+                    return Err(format!(
+                        "row {index} recorded out of order (expected {})",
+                        self.rows.len()
+                    ));
+                }
+                if index >= points {
+                    return Err(format!("row {index} of a {points}-point map"));
+                }
+                if self.rows.contains(&index) {
+                    return Err(format!("row {index} recorded twice"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn push(&mut self, record: Record) {
+        match record {
+            Record::Probe(probe) => self.probes.push(probe),
+            Record::Row(index) => self.rows.push(index),
+        }
+    }
+
+    fn replay(&mut self, line: &str) -> Result<(), String> {
+        let record = Record::parse(line)?;
+        self.check(&record)?;
+        self.push(record);
+        Ok(())
     }
 }
 
@@ -114,19 +232,8 @@ impl FrontierCheckpoint {
         points: usize,
         sequential: bool,
     ) -> Result<Self, String> {
-        let mut file =
-            File::create(path).map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        file.write_all(format!("{MAGIC}\ndigest {digest:016x}\npoints {points}\n").as_bytes())
-            .and_then(|()| file.sync_all())
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        Ok(Self {
-            path: path.to_path_buf(),
-            points,
-            probes: Vec::new(),
-            rows: Vec::new(),
-            sequential,
-            file,
-        })
+        let journal = Journal::create(path, &header(digest, points)).map_err(|e| error(path, e))?;
+        Ok(Self { journal, recorded: Recorded::new(points, sequential) })
     }
 
     /// Resume from `path`, verifying the digest and point count. A missing
@@ -147,38 +254,26 @@ impl FrontierCheckpoint {
         points: usize,
         sequential: bool,
     ) -> Result<Self, String> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Self::fresh_mode(path, digest, points, sequential);
+        let mut recorded = Recorded::new(points, sequential);
+        match Journal::open(path, &header(digest, points), |line| recorded.replay(line)) {
+            Ok(journal) => Ok(Self { journal, recorded }),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                Self::fresh_mode(path, digest, points, sequential)
             }
-            Err(e) => return Err(format!("checkpoint {}: {e}", path.display())),
-        };
-        let (probes, rows) = parse_body(&text, digest, points, sequential)
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        crate::ckptio::repair_torn_tail(path, &text)
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        Ok(Self { path: path.to_path_buf(), points, probes, rows, sequential, file })
+            Err(e) => Err(error(path, e)),
+        }
     }
 
     /// Record one solo probe verdict for map point `point`. Appended and
     /// fsync'd before returning.
     pub fn record_probe(&mut self, point: usize, verdict: Verdict) -> Result<(), String> {
-        debug_assert!(point < self.points);
-        writeln!(self.file, "probe {point} {}", verdict_letter(verdict))
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("checkpoint {}: {e}", self.path.display()))?;
-        self.probes.push(ProbeRecord { point, verdict, lanes: None });
-        Ok(())
+        self.append(Record::Probe(ProbeRecord { point, verdict, lanes: None }))
     }
 
     /// Record one seed-ensemble probe: the majority verdict plus the final
     /// batch's `(diverging, total)` lane tally — the replayable escalation
-    /// event. Appended and fsync'd before returning.
+    /// event. Appended and fsync'd before returning; an impossible tally
+    /// is refused and nothing is written.
     pub fn record_ensemble_probe(
         &mut self,
         point: usize,
@@ -186,13 +281,7 @@ impl FrontierCheckpoint {
         diverging: usize,
         lanes: usize,
     ) -> Result<(), String> {
-        debug_assert!(point < self.points);
-        debug_assert!(diverging <= lanes && lanes > 0);
-        writeln!(self.file, "probe {point} {} {diverging} {lanes}", verdict_letter(verdict))
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("checkpoint {}: {e}", self.path.display()))?;
-        self.probes.push(ProbeRecord { point, verdict, lanes: Some((diverging, lanes)) });
-        Ok(())
+        self.append(Record::Probe(ProbeRecord { point, verdict, lanes: Some((diverging, lanes)) }))
     }
 
     /// Record that map point `index`'s output row is durably written. A
@@ -200,46 +289,27 @@ impl FrontierCheckpoint {
     /// order; a sharded one accepts any order but refuses a point recorded
     /// twice.
     pub fn record_row(&mut self, index: usize) -> Result<(), String> {
-        if self.sequential {
-            if index != self.rows.len() {
-                return Err(format!(
-                    "checkpoint {}: row {index} recorded out of order (expected {})",
-                    self.path.display(),
-                    self.rows.len()
-                ));
-            }
-        } else {
-            if index >= self.points {
-                return Err(format!(
-                    "checkpoint {}: row {index} of a {}-point map",
-                    self.path.display(),
-                    self.points
-                ));
-            }
-            if self.rows.contains(&index) {
-                return Err(format!(
-                    "checkpoint {}: row {index} recorded twice",
-                    self.path.display()
-                ));
-            }
-        }
-        writeln!(self.file, "row {index}")
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("checkpoint {}: {e}", self.path.display()))?;
-        self.rows.push(index);
+        self.append(Record::Row(index))
+    }
+
+    fn append(&mut self, record: Record) -> Result<(), String> {
+        let path = self.journal.path();
+        self.recorded.check(&record).map_err(|e| error(path, e))?;
+        self.journal.append(format_args!("{record}")).map_err(|e| error(path, e))?;
+        self.recorded.push(record);
         Ok(())
     }
 
     /// The recorded probes, in recording (= verdict-arrival) order.
     pub fn probes(&self) -> &[ProbeRecord] {
-        &self.probes
+        &self.recorded.probes
     }
 
     /// Number of output rows the checkpoint claims durable — the line
     /// count (minus any CSV header) to reconcile the output file to before
     /// resuming.
     pub fn rows_written(&self) -> usize {
-        self.rows.len()
+        self.recorded.rows.len()
     }
 
     /// The recorded row indices in recording order: the j-th entry is the
@@ -247,116 +317,38 @@ impl FrontierCheckpoint {
     /// this is always `0, 1, 2, …`; for a sharded one it is the shard's
     /// claim-and-emit order.
     pub fn row_indices(&self) -> &[usize] {
-        &self.rows
+        &self.recorded.rows
     }
 
     /// The map size this checkpoint tracks.
     pub fn points(&self) -> usize {
-        self.points
+        self.recorded.points
     }
 }
 
-type Parsed = (Vec<ProbeRecord>, Vec<usize>);
-
-/// Read-only parse of a *sharded* checkpoint file's text: `(probes, row
-/// indices in append order)`. Used by `shard::merge`, which must inspect
-/// worker checkpoints without opening them for append (and without
-/// creating missing ones, as a resume would).
-pub(crate) fn parse_sharded(text: &str, digest: u64, points: usize) -> Result<Parsed, String> {
-    parse_body(text, digest, points, false)
+/// Read a *sharded* checkpoint without repairing or creating it: the
+/// number of probes it records and its row indices in append order. Used
+/// by `shard::merge` and `shard::status` to inspect worker checkpoints.
+pub(crate) fn read_sharded(
+    path: &Path,
+    digest: u64,
+    points: usize,
+) -> io::Result<(usize, Vec<usize>)> {
+    let mut recorded = Recorded::new(points, false);
+    ckptio::read(path, &header(digest, points), |line| recorded.replay(line))?;
+    Ok((recorded.probes.len(), recorded.rows))
 }
 
-fn parse_body(text: &str, digest: u64, points: usize, sequential: bool) -> Result<Parsed, String> {
-    let mut lines = text.split('\n');
-    if lines.next() != Some(MAGIC) {
-        return Err("not a frontier checkpoint (bad magic line)".into());
-    }
-    let recorded = lines
-        .next()
-        .and_then(|l| l.strip_prefix("digest "))
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or("malformed digest line")?;
-    if recorded != digest {
-        return Err(format!(
-            "spec digest mismatch (checkpoint {recorded:016x}, spec {digest:016x}): \
-             the frontier spec or output options changed since this map started; \
-             refusing to resume"
-        ));
-    }
-    let recorded_points = lines
-        .next()
-        .and_then(|l| l.strip_prefix("points "))
-        .and_then(|t| t.parse::<usize>().ok())
-        .ok_or("malformed points line")?;
-    if recorded_points != points {
-        return Err(format!(
-            "map size mismatch (checkpoint {recorded_points}, spec {points}); \
-             refusing to resume"
-        ));
-    }
-    let mut probes = Vec::new();
-    let mut rows: Vec<usize> = Vec::new();
-    let body: Vec<&str> = lines.collect();
-    // A kill mid-append may leave a torn final fragment; everything before
-    // the last newline is trustworthy.
-    let complete = if text.ends_with('\n') { body.len() } else { body.len().saturating_sub(1) };
-    for line in &body[..complete] {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("probe ") {
-            let malformed = || format!("malformed probe line {line:?}");
-            let mut fields = rest.split(' ');
-            let point: usize = fields.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?;
-            if point >= points {
-                return Err(format!("probe for map point {point} of a {points}-point map"));
-            }
-            let verdict = fields.next().and_then(verdict_from_letter).ok_or_else(malformed)?;
-            // Optional ensemble tally: `<diverging> <total>` lane counts.
-            let lanes = match fields.next() {
-                None => None,
-                Some(div) => {
-                    let div: usize = div.parse().map_err(|_| malformed())?;
-                    let total: usize =
-                        fields.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?;
-                    if fields.next().is_some() || div > total || total == 0 {
-                        return Err(malformed());
-                    }
-                    Some((div, total))
-                }
-            };
-            probes.push(ProbeRecord { point, verdict, lanes });
-        } else if let Some(index) = line.strip_prefix("row ") {
-            let index: usize = index.parse().map_err(|_| format!("malformed row line {line:?}"))?;
-            if sequential {
-                if index != rows.len() {
-                    return Err(format!(
-                        "row {index} recorded out of order (expected {})",
-                        rows.len()
-                    ));
-                }
-            } else {
-                if index >= points {
-                    return Err(format!("row {index} of a {points}-point map"));
-                }
-                if rows.contains(&index) {
-                    return Err(format!("row {index} recorded twice"));
-                }
-            }
-            rows.push(index);
-        } else {
-            return Err(format!("malformed checkpoint line {line:?}"));
-        }
-    }
-    if rows.len() > points {
-        return Err(format!("checkpoint records {} rows of a {points}-point map", rows.len()));
-    }
-    Ok((probes, rows))
+fn error(path: &Path, e: impl fmt::Display) -> String {
+    format!("checkpoint {}: {e}", path.display())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("emac-frontier-ckpt-{}-{tag}.ckpt", std::process::id()))
@@ -408,16 +400,47 @@ mod tests {
         );
         let _ = std::fs::remove_file(&path);
 
-        // malformed tallies are refused: more diverging than total lanes,
-        // zero lanes, trailing junk
-        for bad in ["probe 0 d 6 5", "probe 0 d 0 0", "probe 0 d 1 5 9"] {
+        // bad tallies are refused: more diverging than total lanes, zero
+        // lanes, trailing junk
+        for (bad, needle) in [
+            ("probe 0 d 6 5", "impossible lane tally"),
+            ("probe 0 d 0 0", "impossible lane tally"),
+            ("probe 0 d 1 5 9", "malformed probe line"),
+        ] {
             let path = temp_path("badtally");
             std::fs::write(&path, format!("{MAGIC}\ndigest {:016x}\npoints 2\n{bad}\n", 1u64))
                 .unwrap();
             let err = FrontierCheckpoint::resume(&path, 1, 2).unwrap_err();
-            assert!(err.contains("malformed probe line"), "{bad}: {err}");
+            assert!(err.contains(needle), "{bad}: {err}");
             let _ = std::fs::remove_file(&path);
         }
+    }
+
+    #[test]
+    fn record_refuses_what_resume_would_refuse_and_writes_nothing() {
+        let path = temp_path("refuse");
+        let mut ck = FrontierCheckpoint::fresh(&path, 0xd1ce, 2).unwrap();
+        ck.record_ensemble_probe(0, Verdict::Stable, 1, 3).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let err = ck.record_ensemble_probe(0, Verdict::Stable, 3, 2).unwrap_err();
+        assert!(err.contains("impossible lane tally"), "{err}");
+        let err = ck.record_ensemble_probe(1, Verdict::Diverging, 0, 0).unwrap_err();
+        assert!(err.contains("impossible lane tally"), "{err}");
+        let err = ck.record_probe(2, Verdict::Stable).unwrap_err();
+        assert!(err.contains("map point 2 of a 2-point map"), "{err}");
+        ck.record_row(0).unwrap();
+        ck.record_row(1).unwrap();
+        let err = ck.record_row(2).unwrap_err();
+        assert!(err.contains("row 2 of a 2-point map"), "{err}");
+        assert_eq!(ck.probes().len(), 1);
+        drop(ck);
+        let ck = FrontierCheckpoint::resume(&path, 0xd1ce, 2).unwrap();
+        assert_eq!(ck.probes().len(), 1, "refused records left no line behind");
+        assert_eq!(ck.rows_written(), 2);
+        let mut expected = before;
+        expected.extend_from_slice(b"row 0\nrow 1\n");
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //!   round-trips through the same minimal parser as every spec file.
 //! * [`ObsSink`] — where events go, with a no-op default ([`NoopObs`]).
 //!   [`EventLog`] is the durable implementation: a buffered, append-only
-//!   JSONL writer that fsyncs on [`ObsSink::flush`] and reuses the
-//!   `ckptio` torn-tail repair discipline (headerless variant:
-//!   [`repair_torn_jsonl`](crate::ckptio::repair_torn_jsonl)) so a
+//!   JSONL writer that fsyncs on [`ObsSink::flush`] and shares the
+//!   [`ckptio`](crate::ckptio) torn-tail rule (with no header lines) so a
 //!   `kill -9` mid-append never poisons the log.
 //! * [`Observer`] — the handle the executors thread through: it owns an
 //!   optional [`EventLog`] and an optional [`Progress`] stderr line, and
@@ -43,7 +42,7 @@ use emac_sim::DelayStats;
 
 use crate::campaign::json::Json;
 use crate::campaign::{ResultSink, ScenarioRun};
-use crate::ckptio::repair_torn_jsonl;
+use crate::ckptio::repair_torn_tail;
 
 /// What kind of run emitted an event stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -298,7 +297,7 @@ impl ObsSink for NoopObs {
 /// memory between [`ObsSink::flush`] calls (which fsync), so the hot path
 /// pays a formatted append, not a syscall. Opening an existing log for
 /// append first repairs a torn tail exactly like the checkpoint files do
-/// (headerless `ckptio` semantics: truncate past the last newline).
+/// (with no header: truncate past the last newline).
 #[derive(Debug)]
 pub struct EventLog {
     out: std::io::BufWriter<std::fs::File>,
@@ -316,7 +315,7 @@ impl EventLog {
     /// missing file is created.
     pub fn append(path: &Path) -> std::io::Result<Self> {
         match std::fs::read_to_string(path) {
-            Ok(text) => repair_torn_jsonl(path, &text)?,
+            Ok(text) => repair_torn_tail(path, &text, 0)?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }

@@ -4,9 +4,9 @@
 //! server, no sockets, std only. A worker claims work unit `u` by
 //! *creating* `leases/unit-<u>.lease` with `create_new` (`O_EXCL`): the
 //! filesystem makes exactly one creator win, however many workers race.
-//! The winner then appends one fsync'd `claim <unit> <shard>` line to
-//! `claims.log`, a readable audit trail in the house checkpoint format
-//! (3-line header, torn tail repaired via [`crate::ckptio`]).
+//! The winner then appends one `claim <unit> <shard>` record to
+//! `claims.log`, a [durable journal](crate::ckptio) that every worker
+//! appends to. Every unit is below the header's `units` count.
 //!
 //! The lease is authoritative; the log is the record merge reads. A crash
 //! between the two leaves a lease without a log line — the owner restores
@@ -14,20 +14,31 @@
 //! `shard::merge` falls back to lease ownership for units the log
 //! missed, so no claim is ever lost or doubled.
 
+use std::fmt::Display;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-const MAGIC: &str = "emac-shard-claims v1";
+use crate::ckptio::{self, Header, Journal};
 
-/// Handle on a plan directory's claim state. Cheap to construct; every
-/// operation goes straight to the filesystem, so concurrent processes
-/// need no shared in-memory state.
+fn header(digest: u64, units: usize) -> Header {
+    Header {
+        magic: "emac-shard-claims v1",
+        what: "shard claim log",
+        count_key: "units",
+        count_noun: "unit count",
+        digest,
+        count: units,
+    }
+}
+
+/// Handle on a plan directory's claim state. Every query re-reads the
+/// filesystem, so concurrent processes need no shared in-memory state.
 #[derive(Debug)]
 pub struct ClaimTable {
     dir: PathBuf,
-    digest: u64,
-    units: usize,
+    header: Header,
+    log: Journal,
 }
 
 impl ClaimTable {
@@ -35,29 +46,22 @@ impl ClaimTable {
     /// `units` work units digesting to `digest`. Fails if a claim log
     /// already exists (a plan directory is initialised exactly once).
     pub fn create(dir: &Path, digest: u64, units: usize) -> Result<Self, String> {
-        let table = Self { dir: dir.to_path_buf(), digest, units };
-        std::fs::create_dir_all(table.lease_dir())
+        std::fs::create_dir_all(dir.join("leases"))
             .map_err(|e| format!("claim table {}: {e}", dir.display()))?;
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(table.log_path())
-            .map_err(|e| format!("claim log {}: {e}", table.log_path().display()))?;
-        file.write_all(format!("{MAGIC}\ndigest {digest:016x}\nunits {units}\n").as_bytes())
-            .and_then(|()| file.sync_all())
-            .map_err(|e| format!("claim log {}: {e}", table.log_path().display()))?;
-        Ok(table)
+        let header = header(digest, units);
+        let path = dir.join("claims.log");
+        let log = Journal::create_new(&path, &header).map_err(|e| error(&path, e))?;
+        Ok(Self { dir: dir.to_path_buf(), header, log })
     }
 
     /// Open an existing claim table, verifying its header against this
     /// plan (`digest`, `units`) and repairing a torn trailing line.
     pub fn open(dir: &Path, digest: u64, units: usize) -> Result<Self, String> {
-        let table = Self { dir: dir.to_path_buf(), digest, units };
-        let text = table.read_log()?;
-        table.parse_log(&text)?;
-        crate::ckptio::repair_torn_tail(&table.log_path(), &text)
-            .map_err(|e| format!("claim log {}: {e}", table.log_path().display()))?;
-        Ok(table)
+        let header = header(digest, units);
+        let path = dir.join("claims.log");
+        let log = Journal::open(&path, &header, |line| parse_claim(line, units).map(drop))
+            .map_err(|e| error(&path, e))?;
+        Ok(Self { dir: dir.to_path_buf(), header, log })
     }
 
     /// Try to claim work unit `unit` for `shard`. Returns `Ok(true)` iff
@@ -66,7 +70,7 @@ impl ClaimTable {
     /// another claim (possibly our own, from an earlier run) already holds
     /// the lease.
     pub fn try_claim(&self, unit: usize, shard: usize) -> Result<bool, String> {
-        debug_assert!(unit < self.units);
+        check(unit, self.header.count).map_err(|e| error(self.log.path(), e))?;
         let lease = self.lease_path(unit);
         let mut file = match OpenOptions::new().write(true).create_new(true).open(&lease) {
             Ok(f) => f,
@@ -99,9 +103,8 @@ impl ClaimTable {
     /// already held the claim) — the observability layer records a
     /// lease-repair event exactly for true returns.
     pub fn ensure_logged(&self, unit: usize, shard: usize) -> Result<bool, String> {
-        let text = self.read_log()?;
-        let claims = self.parse_log(&text)?;
-        if claims.iter().any(|&(u, s)| u == unit && s == shard) {
+        check(unit, self.header.count).map_err(|e| error(self.log.path(), e))?;
+        if self.claims()?.contains(&(unit, shard)) {
             return Ok(false);
         }
         // A torn lease content is also repaired here: the owner is the
@@ -123,87 +126,48 @@ impl ClaimTable {
     /// The logged claims as `(unit, shard)` pairs in append order, torn
     /// trailing line ignored.
     pub fn claims(&self) -> Result<Vec<(usize, usize)>, String> {
-        let text = self.read_log()?;
-        self.parse_log(&text)
-    }
-
-    fn append_claim(&self, unit: usize, shard: usize) -> Result<bool, String> {
-        // O_APPEND single-write lines: concurrent appenders cannot
-        // interleave within a line this small on any POSIX filesystem.
-        let mut file = OpenOptions::new()
-            .append(true)
-            .open(self.log_path())
-            .map_err(|e| format!("claim log {}: {e}", self.log_path().display()))?;
-        file.write_all(format!("claim {unit} {shard}\n").as_bytes())
-            .and_then(|()| file.sync_data())
-            .map_err(|e| format!("claim log {}: {e}", self.log_path().display()))?;
-        Ok(true)
-    }
-
-    fn read_log(&self) -> Result<String, String> {
-        std::fs::read_to_string(self.log_path())
-            .map_err(|e| format!("claim log {}: {e}", self.log_path().display()))
-    }
-
-    fn parse_log(&self, text: &str) -> Result<Vec<(usize, usize)>, String> {
-        let bad = |e: String| format!("claim log {}: {e}", self.log_path().display());
-        let mut lines = text.split('\n');
-        if lines.next() != Some(MAGIC) {
-            return Err(bad("not a shard claim log (bad magic line)".into()));
-        }
-        let digest = lines
-            .next()
-            .and_then(|l| l.strip_prefix("digest "))
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| bad("malformed digest line".into()))?;
-        if digest != self.digest {
-            return Err(bad(format!(
-                "plan digest mismatch (log {digest:016x}, plan {:016x}); this claim log \
-                 belongs to a different plan",
-                self.digest
-            )));
-        }
-        let units = lines
-            .next()
-            .and_then(|l| l.strip_prefix("units "))
-            .and_then(|u| u.parse::<usize>().ok())
-            .ok_or_else(|| bad("malformed units line".into()))?;
-        if units != self.units {
-            return Err(bad(format!("unit count mismatch (log {units}, plan {})", self.units)));
-        }
-        let body: Vec<&str> = lines.collect();
-        let complete = if text.ends_with('\n') { body.len() } else { body.len().saturating_sub(1) };
         let mut claims = Vec::new();
-        for line in &body[..complete] {
-            if line.is_empty() {
-                continue;
-            }
-            let malformed = || bad(format!("malformed claim line {line:?}"));
-            let mut fields = line.strip_prefix("claim ").ok_or_else(malformed)?.split(' ');
-            let unit: usize = fields.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?;
-            let shard: usize = fields.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?;
-            if fields.next().is_some() {
-                return Err(malformed());
-            }
-            if unit >= self.units {
-                return Err(bad(format!("claim for unit {unit} of a {}-unit plan", self.units)));
-            }
-            claims.push((unit, shard));
-        }
+        ckptio::read(self.log.path(), &self.header, |line| {
+            parse_claim(line, self.header.count).map(|claim| claims.push(claim))
+        })
+        .map_err(|e| error(self.log.path(), e))?;
         Ok(claims)
     }
 
-    fn log_path(&self) -> PathBuf {
-        self.dir.join("claims.log")
-    }
-
-    fn lease_dir(&self) -> PathBuf {
-        self.dir.join("leases")
+    fn append_claim(&self, unit: usize, shard: usize) -> Result<bool, String> {
+        self.log
+            .append(format_args!("claim {unit} {shard}"))
+            .map_err(|e| error(self.log.path(), e))?;
+        Ok(true)
     }
 
     fn lease_path(&self, unit: usize) -> PathBuf {
-        self.lease_dir().join(format!("unit-{unit}.lease"))
+        self.dir.join("leases").join(format!("unit-{unit}.lease"))
     }
+}
+
+fn error(path: &Path, e: impl Display) -> String {
+    format!("claim log {}: {e}", path.display())
+}
+
+fn parse_claim(line: &str, units: usize) -> Result<(usize, usize), String> {
+    let malformed = || format!("malformed claim line {line:?}");
+    let mut fields = line.strip_prefix("claim ").ok_or_else(malformed)?.split(' ');
+    let unit: usize = fields.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?;
+    let shard: usize = fields.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?;
+    if fields.next().is_some() {
+        return Err(malformed());
+    }
+    check(unit, units)?;
+    Ok((unit, shard))
+}
+
+/// The invariant every claim keeps, on append and on replay alike.
+fn check(unit: usize, units: usize) -> Result<(), String> {
+    if unit >= units {
+        return Err(format!("claim for unit {unit} of a {units}-unit plan"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

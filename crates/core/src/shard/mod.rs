@@ -43,7 +43,7 @@ use crate::campaign::{
     parse_campaign_spec, spec_list_digest, Campaign, Checkpoint, CsvStreamSink, JsonLinesSink,
     MetricsDetail, ScenarioFactory, TallySink,
 };
-use crate::ckptio::truncate_after_lines;
+use crate::ckptio::reconcile_output;
 use crate::digest::Fnv64;
 use crate::frontier::{
     CsvMapSink, Frontier, FrontierCheckpoint, FrontierSpec, JsonMapSink, MapSink,
@@ -296,6 +296,22 @@ impl ShardPlan {
             .ok_or_else(|| format!("shard {id} is not in the plan ({} shards)", self.slices.len()))
     }
 
+    /// Read shard `shard`'s checkpoint at `path` without repairing it:
+    /// the probes it records (0 for campaigns) and the index behind each
+    /// of its output rows, in output order.
+    fn read_checkpoint(&self, shard: usize, path: &Path) -> std::io::Result<(usize, Vec<usize>)> {
+        let digest = self.shard_digest(shard);
+        match self.kind {
+            ShardKind::Campaign => {
+                crate::campaign::checkpoint::recorded(path, digest, self.total_indices())
+                    .map(|rows| (0, rows))
+            }
+            ShardKind::Frontier => {
+                crate::frontier::checkpoint::read_sharded(path, digest, self.total_indices())
+            }
+        }
+    }
+
     fn validate_slices(&self) -> Result<(), String> {
         let n = self.units.len();
         for (i, a) in self.slices.iter().enumerate() {
@@ -537,7 +553,7 @@ impl ShardRunner {
         let out_path = self.shard_dir().join(self.plan.out_name());
         // Shard outputs are headerless (merge writes the one header), so
         // the reconcile line count is exactly the checkpointed rows.
-        let writer = self.reconciled_writer(&out_path, ck.completed())?;
+        let writer = DurableFile::new(reconcile_output(&out_path, ck.completed() as u64)?.0);
         let executor = Campaign::new().threads(self.threads).detail(self.plan.detail);
         let mut summary = ShardRunSummary::default();
         match self.plan.format {
@@ -589,7 +605,7 @@ impl ShardRunner {
             FrontierCheckpoint::fresh_sharded(&ckpt_path, digest, points)
         }?;
         let out_path = self.shard_dir().join(self.plan.out_name());
-        let writer = self.reconciled_writer(&out_path, ck.rows_written())?;
+        let writer = DurableFile::new(reconcile_output(&out_path, ck.rows_written() as u64)?.0);
         let mut sink: Box<dyn MapSink> = match self.plan.format {
             ShardFormat::Csv => Box::new(CsvMapSink::appending(writer)),
             ShardFormat::JsonLines => Box::new(JsonMapSink::new(writer)),
@@ -665,43 +681,6 @@ impl ShardRunner {
         summary.exhausted = (0..self.plan.units.len())
             .try_fold(true, |all, u| Ok::<_, String>(all && claims.lease_owner(u)?.is_some()))?;
         Ok(())
-    }
-
-    /// Open the shard's output for appending after truncating it back to
-    /// exactly the checkpointed rows — the same reconcile the
-    /// single-process CLI does, minus the header (shard outputs have
-    /// none).
-    fn reconciled_writer(&self, out_path: &Path, rows: usize) -> Result<DurableFile, String> {
-        if out_path.exists() {
-            match truncate_after_lines(out_path, rows as u64) {
-                Ok(Some(_)) => {}
-                Ok(None) => {
-                    return Err(format!(
-                        "{} holds fewer rows than the shard checkpoint records ({rows}); \
-                         refusing to resume against a modified output",
-                        out_path.display()
-                    ))
-                }
-                Err(e) => {
-                    return Err(format!(
-                        "cannot reconcile {} with its checkpoint: {e}",
-                        out_path.display()
-                    ))
-                }
-            }
-        } else if rows > 0 {
-            return Err(format!(
-                "{} is missing but the shard checkpoint records {rows} rows; \
-                 refusing to resume",
-                out_path.display()
-            ));
-        }
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(out_path)
-            .map_err(|e| format!("opening {}: {e}", out_path.display()))?;
-        Ok(DurableFile::new(file))
     }
 }
 
@@ -780,27 +759,10 @@ pub fn merge(dir: &Path, out: &Path) -> Result<MergeSummary, String> {
             ));
         }
         let ckpt_path = shard_dir.join(plan.ckpt_name());
-        let ckpt_text = std::fs::read_to_string(&ckpt_path)
+        let (shard_probes, recorded) = plan
+            .read_checkpoint(s, &ckpt_path)
             .map_err(|e| format!("shard {s} checkpoint {}: {e}", ckpt_path.display()))?;
-        let digest = plan.shard_digest(s);
-        let recorded: Vec<usize> = match plan.kind {
-            ShardKind::Campaign => crate::campaign::checkpoint::parse_done_ordered(
-                &ckpt_text,
-                digest,
-                plan.total_indices(),
-            )
-            .map_err(|e| format!("shard {s} checkpoint {}: {e}", ckpt_path.display()))?,
-            ShardKind::Frontier => {
-                let (shard_probes, rows) = crate::frontier::checkpoint::parse_sharded(
-                    &ckpt_text,
-                    digest,
-                    plan.total_indices(),
-                )
-                .map_err(|e| format!("shard {s} checkpoint {}: {e}", ckpt_path.display()))?;
-                probes += shard_probes.len();
-                rows
-            }
-        };
+        probes += shard_probes;
         // Completeness: every index of every unit this shard claimed must
         // be recorded, or the shard died mid-work and must be resumed.
         let done: std::collections::BTreeSet<usize> = recorded.iter().copied().collect();
@@ -905,29 +867,10 @@ pub fn status(dir: &Path) -> Result<String, String> {
     for slice in &plan.slices {
         let claimed = owner.values().filter(|&&s| s == slice.id).count();
         let ckpt_path = dir.join(format!("shard-{}", slice.id)).join(plan.ckpt_name());
-        let recorded = match std::fs::read_to_string(&ckpt_path) {
-            Ok(text) => {
-                let digest = plan.shard_digest(slice.id);
-                let parsed = match plan.kind {
-                    ShardKind::Campaign => crate::campaign::checkpoint::parse_done_ordered(
-                        &text,
-                        digest,
-                        plan.total_indices(),
-                    )
-                    .map(|v| v.len()),
-                    ShardKind::Frontier => crate::frontier::checkpoint::parse_sharded(
-                        &text,
-                        digest,
-                        plan.total_indices(),
-                    )
-                    .map(|(_, rows)| rows.len()),
-                };
-                match parsed {
-                    Ok(n) => format!("{n} rows recorded"),
-                    Err(e) => format!("checkpoint unreadable ({e})"),
-                }
-            }
-            Err(_) => "not started".to_string(),
+        let recorded = match plan.read_checkpoint(slice.id, &ckpt_path) {
+            Ok((_, rows)) => format!("{} rows recorded", rows.len()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => "not started".to_string(),
+            Err(e) => format!("checkpoint unreadable ({e})"),
         };
         // Enrich from the shard's event log where one exists. A shard
         // without a (readable) log is still reported — named explicitly,
@@ -1056,6 +999,26 @@ mod tests {
             ShardPlan::build(CAMPAIGN_SPEC, ShardFormat::Csv, MetricsDetail::Full, 2).unwrap();
         assert_ne!(plan.shard_digest(0), plan.shard_digest(1));
         assert_ne!(plan.shard_digest(0), plan.digest);
+    }
+
+    #[test]
+    fn status_tells_unstarted_from_unreadable_checkpoints() {
+        let plan =
+            ShardPlan::build(CAMPAIGN_SPEC, ShardFormat::Csv, MetricsDetail::Full, 2).unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("emac-shard-status-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        plan.save(&dir).unwrap();
+        // a directory where shard 0's checkpoint file belongs
+        std::fs::create_dir_all(dir.join("shard-0").join(plan.ckpt_name())).unwrap();
+        let report = status(&dir).unwrap();
+        let line = |id: usize| {
+            let prefix = format!("shard {id}:");
+            report.lines().find(|l| l.trim_start().starts_with(&prefix)).unwrap()
+        };
+        assert!(line(0).contains("checkpoint unreadable ("), "{report}");
+        assert!(line(1).contains("not started"), "{report}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -46,9 +46,10 @@ use std::time::Instant;
 
 use emac::cli;
 use emac::core::campaign::{
-    parse_campaign_spec, spec_list_digest, truncate_after_lines, Campaign, Checkpoint,
-    CsvStreamSink, DurableFile, JsonLinesSink, ResultSink, ScenarioSpec, TallySink,
+    parse_campaign_spec, spec_list_digest, Campaign, Checkpoint, CsvStreamSink, DurableFile,
+    JsonLinesSink, ResultSink, ScenarioSpec, TallySink,
 };
+use emac::core::ckptio::reconcile_output;
 use emac::core::frontier::{
     CsvMapSink, EscalateSpec, Frontier, FrontierCheckpoint, FrontierSpec, JsonMapSink, MapSink,
     SearchAxis,
@@ -240,30 +241,11 @@ fn campaign_streamed(
     // Reconcile the output with the checkpoint: keep exactly the
     // checkpointed rows (plus the CSV header), dropping any unrecorded
     // tail a crash left behind — those scenarios re-execute below.
-    if already > 0 {
-        let header_lines = u64::from(format == cli::CampaignFormat::Csv);
-        match truncate_after_lines(&out_path, already as u64 + header_lines) {
-            Ok(Some(0)) => {}
-            Ok(Some(dropped)) => {
-                eprintln!("note: dropped {dropped} bytes of unrecorded output from a previous run")
-            }
-            Ok(None) => {
-                eprintln!(
-                    "error: {} holds fewer rows than campaign.ckpt records ({already}); \
-                     refusing to resume against a modified output",
-                    out_path.display()
-                );
-                return ExitCode::from(2);
-            }
-            Err(e) => {
-                eprintln!(
-                    "error: cannot reconcile {} with its checkpoint: {e}",
-                    out_path.display()
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let csv = format == cli::CampaignFormat::Csv;
+    let writer = match open_reconciled(&out_path, already, csv, opts.resume) {
+        Ok(w) => w,
+        Err(code) => return code,
+    };
 
     let mut todo = ckpt.remaining();
     if todo.is_empty() {
@@ -277,22 +259,6 @@ fn campaign_streamed(
     if let Some(limit) = opts.limit {
         todo.truncate(limit);
     }
-
-    let file = if already > 0 {
-        std::fs::OpenOptions::new().append(true).open(&out_path)
-    } else {
-        std::fs::File::create(&out_path)
-    };
-    let file = match file {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: opening {}: {e}", out_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    // Buffered, but fsync'd on every sink.sync() — the executor makes each
-    // row durable before its checkpoint line is appended.
-    let writer = DurableFile::new(file);
 
     eprintln!(
         "running {} of {} scenarios ({} already complete)...",
@@ -388,6 +354,33 @@ fn run_tallied<S: ResultSink>(
 ) -> (Result<(), String>, usize, usize, usize) {
     let outcome = executor.run_subset(specs, todo, &Registry, &mut sink, Some(ckpt));
     (outcome, sink.ok(), sink.unclean(), sink.failed())
+}
+
+/// Open a streaming output for appending after reconciling it with its
+/// checkpoint: keep the `rows` it records plus the CSV header, or start
+/// afresh (the sink rewrites the header) when it records none. The writer
+/// is buffered but fsync'd on every `sink.sync()`, so the executor makes
+/// each row durable before its checkpoint record is appended. A refused
+/// reconcile exits 2.
+fn open_reconciled(
+    path: &Path,
+    rows: usize,
+    csv: bool,
+    resume: bool,
+) -> Result<DurableFile, ExitCode> {
+    let lines = if rows > 0 { rows as u64 + u64::from(csv) } else { 0 };
+    match reconcile_output(path, lines) {
+        Ok((file, dropped)) => {
+            if resume && dropped > 0 {
+                eprintln!("note: dropped {dropped} bytes of unrecorded output from a previous run");
+            }
+            Ok(DurableFile::new(file))
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            Err(ExitCode::from(2))
+        }
+    }
 }
 
 /// Build the observer a CLI run asked for: `--events` arms the durable
@@ -530,44 +523,11 @@ fn frontier(args: &[String]) -> ExitCode {
 
     // Reconcile the output with the checkpoint: keep exactly the rows it
     // claims durable (plus the CSV header); anything after re-emits.
-    if already > 0 {
-        let header_lines = u64::from(opts.format == cli::FrontierFormat::Csv);
-        match truncate_after_lines(&out_path, already as u64 + header_lines) {
-            Ok(Some(0)) => {}
-            Ok(Some(dropped)) => {
-                eprintln!("note: dropped {dropped} bytes of unrecorded output from a previous run")
-            }
-            Ok(None) => {
-                eprintln!(
-                    "error: {} holds fewer rows than frontier.ckpt records ({already}); \
-                     refusing to resume against a modified output",
-                    out_path.display()
-                );
-                return ExitCode::from(2);
-            }
-            Err(e) => {
-                eprintln!(
-                    "error: cannot reconcile {} with its checkpoint: {e}",
-                    out_path.display()
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let file = if already > 0 {
-        std::fs::OpenOptions::new().append(true).open(&out_path)
-    } else {
-        std::fs::File::create(&out_path)
+    let csv = opts.format == cli::FrontierFormat::Csv;
+    let writer = match open_reconciled(&out_path, already, csv, opts.resume) {
+        Ok(w) => w,
+        Err(code) => return code,
     };
-    let file = match file {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: opening {}: {e}", out_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let writer = DurableFile::new(file);
 
     let mut engine = Frontier::new();
     if let Some(t) = opts.threads {

@@ -37,9 +37,10 @@ use std::fmt::Display;
 use std::io;
 use std::path::Path;
 
-use super::ScenarioSpec;
+use super::{MetricsDetail, ScenarioSpec};
 use crate::ckptio::{self, Header, Journal};
 use crate::digest::Fnv64;
+use crate::shard::ShardFormat;
 
 const MAGIC: &str = "emac-campaign-ckpt v1";
 
@@ -64,6 +65,19 @@ pub fn spec_list_digest(specs: &[ScenarioSpec]) -> u64 {
     for spec in specs {
         h.str(&spec.to_json().render());
     }
+    h.finish()
+}
+
+/// The digest a campaign run pins in its checkpoint: the spec list *and*
+/// the options that shape the output rows (output file name, metrics
+/// detail). Resuming the same specs with another `--format` or `--detail`
+/// would interleave incompatible rows, so it is refused like an edited
+/// spec file. `emac campaign` and every shard plan bind it the same way.
+pub fn run_digest(specs: &[ScenarioSpec], format: ShardFormat, detail: MetricsDetail) -> u64 {
+    let mut h = Fnv64::new();
+    h.u64(spec_list_digest(specs));
+    h.str(&format.file_name("campaign"));
+    h.str(detail.name());
     h.finish()
 }
 

@@ -14,7 +14,7 @@
 //!   runs scenarios in parallel and hands every completed run, **in spec
 //!   order**, to a [`ResultSink`](sink::ResultSink);
 //! * [`sink`] — where results go: buffered ([`MemorySink`]) behind the
-//!   [`CampaignResult`] JSON/CSV API, or streamed in constant memory
+//!   [`CampaignResult`] CSV/JSONL API, or streamed in constant memory
 //!   ([`CsvStreamSink`], [`JsonLinesSink`]) for sweeps too wide to hold;
 //! * [`checkpoint`] — an fsync'd append-only progress file so a killed
 //!   campaign resumes where it stopped instead of restarting from zero;
@@ -77,7 +77,7 @@ use crate::algorithm::Algorithm;
 use crate::runner::{RunReport, Runner};
 use json::Json;
 
-pub use checkpoint::{spec_list_digest, Checkpoint};
+pub use checkpoint::{run_digest, spec_list_digest, Checkpoint};
 pub use expr::{Expr, ExprEnv, RateAxis};
 pub use row::CSV_HEADER;
 pub use sink::{
@@ -940,6 +940,26 @@ pub enum MetricsDetail {
     Slim,
 }
 
+impl MetricsDetail {
+    /// Parse a `--detail` or `plan.json` value: `full` or `slim`.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "full" => Ok(MetricsDetail::Full),
+            "slim" => Ok(MetricsDetail::Slim),
+            other => Err(format!("must be full or slim, got {other:?}")),
+        }
+    }
+
+    /// The name [`MetricsDetail::parse`] reads back; also the detail tag
+    /// a campaign's [`run_digest`] binds.
+    pub fn name(self) -> &'static str {
+        match self {
+            MetricsDetail::Full => "full",
+            MetricsDetail::Slim => "slim",
+        }
+    }
+}
+
 /// Parallel scenario executor.
 #[derive(Clone, Debug)]
 pub struct Campaign {
@@ -1205,16 +1225,6 @@ impl CampaignResult {
         )
     }
 
-    /// Full structured export: every spec with its report (or error), one
-    /// [`row::run_json`] object per run.
-    pub fn to_json(&self) -> Json {
-        let runs = self.runs.iter().enumerate().map(|(i, run)| row::run_json(i, run)).collect();
-        Json::Obj(vec![
-            ("summary".into(), Json::Str(self.summary())),
-            ("runs".into(), Json::Arr(runs)),
-        ])
-    }
-
     /// Flat CSV export (header [`CSV_HEADER`]), one [`row::csv_row`] per
     /// scenario — byte-identical to what a [`CsvStreamSink`] wrote while
     /// the same campaign streamed.
@@ -1238,13 +1248,6 @@ impl CampaignResult {
             out.push('\n');
         }
         out
-    }
-
-    /// Write `campaign.json` and `campaign.csv` under `dir`, creating it.
-    pub fn write_files(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join("campaign.json"), self.to_json().render_pretty())?;
-        std::fs::write(dir.join("campaign.csv"), self.to_csv())
     }
 }
 

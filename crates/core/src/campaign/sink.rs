@@ -60,6 +60,23 @@ pub trait ResultSink: Send {
     }
 }
 
+/// A boxed sink is a sink, so a sink chosen at run time (see
+/// [`ShardFormat::result_sink`](crate::shard::ShardFormat::result_sink))
+/// still composes with the generic wrappers ([`TallySink`] and friends).
+impl<S: ResultSink + ?Sized> ResultSink for Box<S> {
+    fn accept(&mut self, index: usize, run: ScenarioRun) -> Result<(), String> {
+        (**self).accept(index, run)
+    }
+
+    fn sync(&mut self) -> Result<(), String> {
+        (**self).sync()
+    }
+
+    fn finish(&mut self) -> Result<(), String> {
+        (**self).finish()
+    }
+}
+
 /// A buffered campaign-output file whose `flush` also fsyncs
 /// (`File::sync_data`), giving a streaming sink the same power-loss
 /// durability as the checkpoint it pairs with: the executor's

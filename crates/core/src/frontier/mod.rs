@@ -1315,23 +1315,7 @@ impl Frontier {
     /// points outside `indices`, and this subset's recorded rows must form
     /// an in-order prefix of `indices`. A continuation point's predecessor
     /// must be in the subset (work units are whole chains), refused
-    /// otherwise.
-    pub fn run_subset_into<F>(
-        &self,
-        spec: &FrontierSpec,
-        indices: &[usize],
-        factory: &F,
-        sink: &mut dyn MapSink,
-        checkpoint: Option<&mut FrontierCheckpoint>,
-    ) -> Result<FrontierSummary, String>
-    where
-        F: ScenarioFactory + Sync,
-    {
-        self.run_core(spec, indices, factory, sink, checkpoint, &mut Observer::new())
-    }
-
-    /// [`Frontier::run_subset_into`] with the observability seam of
-    /// [`Frontier::run_into_observed`].
+    /// otherwise. Observed like [`Frontier::run_into_observed`].
     pub fn run_subset_into_observed<F>(
         &self,
         spec: &FrontierSpec,

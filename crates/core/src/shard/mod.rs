@@ -40,8 +40,8 @@ use std::time::Instant;
 use crate::campaign::json::Json;
 use crate::campaign::sink::DurableFile;
 use crate::campaign::{
-    parse_campaign_spec, spec_list_digest, Campaign, Checkpoint, CsvStreamSink, JsonLinesSink,
-    MetricsDetail, ScenarioFactory, TallySink,
+    parse_campaign_spec, run_digest, Campaign, Checkpoint, CsvStreamSink, JsonLinesSink,
+    MetricsDetail, ResultSink, ScenarioFactory, TallySink,
 };
 use crate::ckptio::reconcile_output;
 use crate::digest::Fnv64;
@@ -63,8 +63,20 @@ pub enum ShardKind {
     Frontier,
 }
 
-/// Output encoding of a sharded run — mirrors the single-process
-/// `--format` flag and is baked into the plan digest the same way.
+impl ShardKind {
+    /// `campaign` or `frontier`: the plan's `kind` field and the stem of
+    /// the output and checkpoint file names.
+    fn name(self) -> &'static str {
+        match self {
+            ShardKind::Campaign => "campaign",
+            ShardKind::Frontier => "frontier",
+        }
+    }
+}
+
+/// Output encoding of every campaign and frontier map run, sharded or
+/// not: the `--format` flag of `emac campaign`, `emac frontier` and
+/// `emac shard plan`. Its file name is part of every run digest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ShardFormat {
     /// Comma-separated rows with a header line.
@@ -75,26 +87,55 @@ pub enum ShardFormat {
 }
 
 impl ShardFormat {
-    fn name(self) -> &'static str {
+    /// Parse a `--format` or `plan.json` value: `csv` or `jsonl`.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "csv" => Ok(ShardFormat::Csv),
+            "jsonl" => Ok(ShardFormat::JsonLines),
+            other => Err(format!("must be csv or jsonl, got {other:?}")),
+        }
+    }
+
+    /// The name [`ShardFormat::parse`] reads back; also the file extension.
+    pub fn name(self) -> &'static str {
         match self {
             ShardFormat::Csv => "csv",
             ShardFormat::JsonLines => "jsonl",
         }
     }
 
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "csv" => Ok(ShardFormat::Csv),
-            "jsonl" => Ok(ShardFormat::JsonLines),
-            other => Err(format!("format must be csv or jsonl, got {other:?}")),
+    /// The output file `<stem>.csv` or `<stem>.jsonl` — the same name in a
+    /// single-process `--out` directory and in every shard directory, and
+    /// the format tag the run digests bind.
+    pub fn file_name(self, stem: &str) -> String {
+        format!("{stem}.{}", self.name())
+    }
+
+    /// The streaming sink writing campaign rows in this format to `out`.
+    /// `header_pending` says whether a CSV header still has to be written
+    /// (a fresh single-process output); resumed and shard outputs append
+    /// rows only. JSON Lines has no header.
+    pub fn result_sink<W: Write + Send + 'static>(
+        self,
+        out: W,
+        header_pending: bool,
+    ) -> Box<dyn ResultSink> {
+        match (self, header_pending) {
+            (ShardFormat::Csv, true) => Box::new(CsvStreamSink::new(out)),
+            (ShardFormat::Csv, false) => Box::new(CsvStreamSink::appending(out)),
+            (ShardFormat::JsonLines, _) => Box::new(JsonLinesSink::new(out)),
         }
     }
-}
 
-fn detail_name(detail: MetricsDetail) -> &'static str {
-    match detail {
-        MetricsDetail::Full => "full",
-        MetricsDetail::Slim => "slim",
+    /// The streaming sink writing frontier map rows in this format to
+    /// `out`, with the same `header_pending` rule as
+    /// [`ShardFormat::result_sink`].
+    pub fn map_sink<W: Write + 'static>(self, out: W, header_pending: bool) -> Box<dyn MapSink> {
+        match (self, header_pending) {
+            (ShardFormat::Csv, true) => Box::new(CsvMapSink::new(out)),
+            (ShardFormat::Csv, false) => Box::new(CsvMapSink::appending(out)),
+            (ShardFormat::JsonLines, _) => Box::new(JsonMapSink::new(out)),
+        }
     }
 }
 
@@ -192,12 +233,12 @@ impl ShardPlan {
         let format = ShardFormat::parse(
             v.get("format").and_then(Json::as_str).ok_or_else(|| bad("missing format".into()))?,
         )
-        .map_err(bad)?;
-        let detail = match v.get("detail").and_then(Json::as_str) {
-            Some("full") | None => MetricsDetail::Full,
-            Some("slim") => MetricsDetail::Slim,
-            Some(other) => return Err(bad(format!("detail must be full or slim, got {other:?}"))),
-        };
+        .map_err(|e| bad(format!("format {e}")))?;
+        let detail = v
+            .get("detail")
+            .and_then(Json::as_str)
+            .map_or(Ok(MetricsDetail::Full), MetricsDetail::parse)
+            .map_err(|e| bad(format!("detail {e}")))?;
         let recorded = v
             .get("digest")
             .and_then(Json::as_str)
@@ -216,11 +257,7 @@ impl ShardPlan {
             )));
         }
         let recorded_kind = v.get("kind").and_then(Json::as_str);
-        let kind_name = match kind {
-            ShardKind::Campaign => "campaign",
-            ShardKind::Frontier => "frontier",
-        };
-        if recorded_kind != Some(kind_name) {
+        if recorded_kind != Some(kind.name()) {
             return Err(bad(format!("kind mismatch (plan records {recorded_kind:?})")));
         }
         if v.get("units").and_then(Json::as_usize) != Some(units.len()) {
@@ -259,21 +296,13 @@ impl ShardPlan {
     /// The output file name inside each `shard-<id>/` directory — the
     /// same name the single-process CLI uses, which is also the digest's
     /// format tag.
-    pub fn out_name(&self) -> &'static str {
-        match (self.kind, self.format) {
-            (ShardKind::Campaign, ShardFormat::Csv) => "campaign.csv",
-            (ShardKind::Campaign, ShardFormat::JsonLines) => "campaign.jsonl",
-            (ShardKind::Frontier, ShardFormat::Csv) => "frontier.csv",
-            (ShardKind::Frontier, ShardFormat::JsonLines) => "frontier.jsonl",
-        }
+    pub fn out_name(&self) -> String {
+        self.format.file_name(self.kind.name())
     }
 
     /// The checkpoint file name inside each `shard-<id>/` directory.
-    pub fn ckpt_name(&self) -> &'static str {
-        match self.kind {
-            ShardKind::Campaign => "campaign.ckpt",
-            ShardKind::Frontier => "frontier.ckpt",
-        }
+    pub fn ckpt_name(&self) -> String {
+        format!("{}.ckpt", self.kind.name())
     }
 
     /// The digest a given shard's own checkpoint pins: the plan digest
@@ -334,15 +363,11 @@ impl ShardPlan {
     }
 
     fn to_json(&self) -> Json {
-        let kind = match self.kind {
-            ShardKind::Campaign => "campaign",
-            ShardKind::Frontier => "frontier",
-        };
         Json::Obj(vec![
             ("magic".into(), Json::Str(PLAN_MAGIC.into())),
-            ("kind".into(), Json::Str(kind.into())),
+            ("kind".into(), Json::Str(self.kind.name().into())),
             ("format".into(), Json::Str(self.format.name().into())),
-            ("detail".into(), Json::Str(detail_name(self.detail).into())),
+            ("detail".into(), Json::Str(self.detail.name().into())),
             ("digest".into(), Json::Str(format!("{:016x}", self.digest))),
             ("units".into(), Json::Int(self.units.len() as i64)),
             (
@@ -375,11 +400,7 @@ fn inspect_spec(
     let v = Json::parse(spec_text)?;
     if v.get("template").is_some() {
         let spec = FrontierSpec::from_json(&v)?;
-        let tag = match format {
-            ShardFormat::Csv => "frontier.csv",
-            ShardFormat::JsonLines => "frontier.jsonl",
-        };
-        let digest = spec.digest(tag);
+        let digest = spec.digest(&format.file_name("frontier"));
         let points = spec.points().len();
         let units = if spec.continuation.is_some() {
             // A continuation chain (fixed k, ascending n) is one unit: a
@@ -393,18 +414,8 @@ fn inspect_spec(
         Ok((ShardKind::Frontier, digest, units))
     } else {
         let specs = parse_campaign_spec(spec_text)?;
-        let tag = match format {
-            ShardFormat::Csv => "campaign.csv",
-            ShardFormat::JsonLines => "campaign.jsonl",
-        };
-        // Same binding as the single-process CLI: spec list + format +
-        // detail, so `merge` output slots into the same checkpoint story.
-        let mut h = Fnv64::new();
-        h.u64(spec_list_digest(&specs));
-        h.str(tag);
-        h.str(detail_name(detail));
         let units = (0..specs.len()).map(|i| vec![i]).collect();
-        Ok((ShardKind::Campaign, h.finish(), units))
+        Ok((ShardKind::Campaign, run_digest(&specs, format, detail), units))
     }
 }
 
@@ -554,33 +565,17 @@ impl ShardRunner {
         // Shard outputs are headerless (merge writes the one header), so
         // the reconcile line count is exactly the checkpointed rows.
         let writer = DurableFile::new(reconcile_output(&out_path, ck.completed() as u64)?.0);
+        let mut sink =
+            TallySink::new(ObservedSink::new(self.plan.format.result_sink(writer, false), obs));
         let executor = Campaign::new().threads(self.threads).detail(self.plan.detail);
         let mut summary = ShardRunSummary::default();
-        match self.plan.format {
-            ShardFormat::Csv => {
-                let mut sink =
-                    TallySink::new(ObservedSink::new(CsvStreamSink::appending(writer), obs));
-                self.drive_units(claims, max_units, &mut summary, obs, |unit| {
-                    let todo: Vec<usize> =
-                        unit.iter().copied().filter(|&i| !ck.is_done(i)).collect();
-                    executor.run_subset(&specs, &todo, factory, &mut sink, Some(&mut ck))?;
-                    Ok(todo.len())
-                })?;
-                summary.unclean = sink.unclean();
-                summary.failed = sink.failed();
-            }
-            ShardFormat::JsonLines => {
-                let mut sink = TallySink::new(ObservedSink::new(JsonLinesSink::new(writer), obs));
-                self.drive_units(claims, max_units, &mut summary, obs, |unit| {
-                    let todo: Vec<usize> =
-                        unit.iter().copied().filter(|&i| !ck.is_done(i)).collect();
-                    executor.run_subset(&specs, &todo, factory, &mut sink, Some(&mut ck))?;
-                    Ok(todo.len())
-                })?;
-                summary.unclean = sink.unclean();
-                summary.failed = sink.failed();
-            }
-        }
+        self.drive_units(claims, max_units, &mut summary, obs, |unit| {
+            let todo: Vec<usize> = unit.iter().copied().filter(|&i| !ck.is_done(i)).collect();
+            executor.run_subset(&specs, &todo, factory, &mut sink, Some(&mut ck))?;
+            Ok(todo.len())
+        })?;
+        summary.unclean = sink.unclean();
+        summary.failed = sink.failed();
         Ok(summary)
     }
 
@@ -606,10 +601,7 @@ impl ShardRunner {
         }?;
         let out_path = self.shard_dir().join(self.plan.out_name());
         let writer = DurableFile::new(reconcile_output(&out_path, ck.rows_written() as u64)?.0);
-        let mut sink: Box<dyn MapSink> = match self.plan.format {
-            ShardFormat::Csv => Box::new(CsvMapSink::appending(writer)),
-            ShardFormat::JsonLines => Box::new(JsonMapSink::new(writer)),
-        };
+        let mut sink = self.plan.format.map_sink(writer, false);
         let engine = Frontier::new().threads(self.threads);
         let mut summary = ShardRunSummary::default();
         let mut unclean = 0usize;
@@ -701,8 +693,9 @@ pub struct MergeSummary {
 /// uninterrupted single-process run of the planned spec. Refuses — with
 /// named errors — digest mismatches, units claimed by two shards, units
 /// never claimed, shards whose claimed work is unfinished (a dead shard
-/// must be resumed first), missing shard directories or outputs, and
-/// shard state torn beyond the standard tail repair.
+/// must be resumed first), missing shard directories or outputs, shard
+/// state torn beyond the standard tail repair, and an `out` that is one
+/// of the files merge reads.
 pub fn merge(dir: &Path, out: &Path) -> Result<MergeSummary, String> {
     let plan = ShardPlan::load(dir)?;
     let claims = ClaimTable::open(dir, plan.digest, plan.units.len())?;
@@ -749,6 +742,7 @@ pub fn merge(dir: &Path, out: &Path) -> Result<MergeSummary, String> {
     let mut shards: Vec<usize> = owner.values().copied().collect();
     shards.sort_unstable();
     shards.dedup();
+    refuse_input_as_output(dir, &plan, &shards, out)?;
     let mut probes = 0usize;
     for &s in &shards {
         let shard_dir = dir.join(format!("shard-{s}"));
@@ -840,6 +834,36 @@ pub fn merge(dir: &Path, out: &Path) -> Result<MergeSummary, String> {
     Ok(MergeSummary { rows: total, shards_merged: shards.len(), probes })
 }
 
+/// Refuse a merge `out` that names a file merge reads — the plan, the
+/// claim log, a lease, or any shard's output or checkpoint. Writing the
+/// merged rows over one would destroy the state a later merge or resume
+/// needs. Paths are compared canonically, so `..` and symlinks do not
+/// hide a match; an `out` that does not exist yet cannot be an input.
+fn refuse_input_as_output(
+    dir: &Path,
+    plan: &ShardPlan,
+    shards: &[usize],
+    out: &Path,
+) -> Result<(), String> {
+    let Ok(target) = out.canonicalize() else { return Ok(()) };
+    let mut inputs = vec![dir.join("plan.json"), dir.join("claims.log")];
+    inputs
+        .extend((0..plan.units.len()).map(|u| dir.join("leases").join(format!("unit-{u}.lease"))));
+    for s in plan.slices.iter().map(|slice| slice.id).chain(shards.iter().copied()) {
+        let shard_dir = dir.join(format!("shard-{s}"));
+        inputs.push(shard_dir.join(plan.out_name()));
+        inputs.push(shard_dir.join(plan.ckpt_name()));
+    }
+    match inputs.iter().find(|input| input.canonicalize().is_ok_and(|p| p == target)) {
+        Some(input) => Err(format!(
+            "merged output {} is the fleet file {}, which merge reads; refusing to overwrite it",
+            out.display(),
+            input.display()
+        )),
+        None => Ok(()),
+    }
+}
+
 /// A human-readable progress report for the plan in `dir`.
 pub fn status(dir: &Path) -> Result<String, String> {
     let plan = ShardPlan::load(dir)?;
@@ -853,12 +877,9 @@ pub fn status(dir: &Path) -> Result<String, String> {
             owner.entry(u).or_insert(s);
         }
     }
-    let kind = match plan.kind {
-        ShardKind::Campaign => "campaign",
-        ShardKind::Frontier => "frontier",
-    };
     let mut report = format!(
-        "{kind} plan: {} units ({} indices), {} shards, digest {:016x}\n",
+        "{} plan: {} units ({} indices), {} shards, digest {:016x}\n",
+        plan.kind.name(),
         plan.units.len(),
         plan.total_indices(),
         plan.slices.len(),

@@ -21,13 +21,12 @@
 //! ```
 //!
 //! `run` prints the standard run report; `campaign` executes a JSON
-//! scenario spec (see `emac campaign --example`) in parallel. Without
-//! `--format` it buffers results and writes `campaign.json` +
-//! `campaign.csv`; with `--format` it **streams** each result to
-//! `campaign.csv` or `campaign.jsonl` in constant memory, maintains an
-//! fsync'd `campaign.ckpt` next to the output, and `--resume` continues a
-//! killed (or `--limit`-bounded) campaign where it stopped. Both modes
-//! exit non-zero if any run violates a model invariant (useful in CI).
+//! scenario spec (see `emac campaign --example`) in parallel and
+//! **streams** each result to `campaign.csv` (default) or
+//! `campaign.jsonl` (`--format jsonl`) in constant memory, keeping an
+//! fsync'd `campaign.ckpt` next to the output; `--resume` continues a
+//! killed (or `--limit`-bounded) campaign where it stopped. It exits
+//! non-zero if any run violates a model invariant (useful in CI).
 //! `frontier` bisects a stability boundary across a map of `(n, k)`
 //! points (see `emac_core::frontier`) with the same checkpoint/resume
 //! discipline. `shard` splits either kind of run across a fleet of
@@ -46,16 +45,12 @@ use std::time::Instant;
 
 use emac::cli;
 use emac::core::campaign::{
-    parse_campaign_spec, spec_list_digest, Campaign, Checkpoint, CsvStreamSink, DurableFile,
-    JsonLinesSink, ResultSink, ScenarioSpec, TallySink,
+    parse_campaign_spec, run_digest, Campaign, Checkpoint, DurableFile, TallySink,
 };
 use emac::core::ckptio::reconcile_output;
-use emac::core::frontier::{
-    CsvMapSink, EscalateSpec, Frontier, FrontierCheckpoint, FrontierSpec, JsonMapSink, MapSink,
-    SearchAxis,
-};
+use emac::core::frontier::{EscalateSpec, Frontier, FrontierCheckpoint, FrontierSpec, SearchAxis};
 use emac::core::prelude::*;
-use emac::core::shard::{ShardPlan, ShardRunner};
+use emac::core::shard::{ShardFormat, ShardPlan, ShardRunner};
 use emac::core::{EventLog, ObsEvent, ObsReport, ObservedSink, Observer, Progress, RunKind};
 use emac::registry::{Registry, ADVERSARIES, ALGORITHMS};
 
@@ -84,7 +79,7 @@ fn usage() {
          [--rounds R] [--adversary <name>] [--seed S] [--seeds A,B,C|N] [--drain R]\n           \
          [--trace N] [--cap C] [--target S] [--dest S] [--period R] [--horizon R]\n           \
          [--probe-cap Q] [--jam P/Q | --faults JSON]\n  \
-         emac campaign <spec.json> [--threads N] [--out DIR]\n           \
+         emac campaign <spec.json> [--threads N] [--out DIR]   # streams DIR/campaign.csv\n           \
          [--format csv|jsonl] [--detail full|slim] [--resume] [--limit M]\n           \
          [--progress] [--events FILE]\n  \
          emac campaign --example   # print a commented example spec\n  \
@@ -156,74 +151,14 @@ fn campaign(args: &[String]) -> ExitCode {
     if let Some(t) = opts.threads {
         executor = executor.threads(t);
     }
-    match opts.format {
-        None => campaign_buffered(&executor, &specs, &opts.out_dir),
-        Some(format) => campaign_streamed(&executor, &specs, &opts, format),
-    }
-}
-
-/// Legacy buffered mode: hold every report, print the full table, write
-/// `campaign.json` + `campaign.csv`.
-fn campaign_buffered(executor: &Campaign, specs: &[ScenarioSpec], out_dir: &str) -> ExitCode {
-    eprintln!("running {} scenarios...", specs.len());
-    let result = executor.run(specs, &Registry);
-
-    for run in &result.runs {
-        match &run.outcome {
-            Ok(report) => println!(
-                "{:<64} latency {:>8} queue {:>8} {:<11} {}",
-                run.spec.display_label(),
-                report.latency(),
-                report.max_queue(),
-                format!("{:?}", report.stability.verdict),
-                if report.clean() { "clean" } else { "VIOLATIONS" },
-            ),
-            Err(e) => println!("{:<64} ERROR {e}", run.spec.display_label()),
-        }
-    }
-    println!("{}", result.summary());
-
-    if let Err(e) = result.write_files(Path::new(out_dir)) {
-        eprintln!("error: writing results to {out_dir}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out_dir}/campaign.json and {out_dir}/campaign.csv");
-
-    if result.all_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Streaming mode: constant-memory export with a checkpoint next to it.
-fn campaign_streamed(
-    executor: &Campaign,
-    specs: &[ScenarioSpec],
-    opts: &cli::CampaignOpts,
-    format: cli::CampaignFormat,
-) -> ExitCode {
     let dir = Path::new(&opts.out_dir);
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("error: creating {}: {e}", opts.out_dir);
         return ExitCode::FAILURE;
     }
-    let out_path = dir.join(format.file_name());
+    let out_path = dir.join(opts.format.file_name("campaign"));
     let ckpt_path = dir.join("campaign.ckpt");
-    // The checkpoint digest binds the spec list AND the output-shaping
-    // options: resuming the same specs with a different --format or
-    // --detail would interleave incompatible rows, so it is refused the
-    // same way an edited spec file is.
-    let digest = {
-        let mut h = emac::core::digest::Fnv64::new();
-        h.u64(spec_list_digest(specs));
-        h.str(format.file_name());
-        h.str(match opts.detail {
-            emac::core::MetricsDetail::Full => "full",
-            emac::core::MetricsDetail::Slim => "slim",
-        });
-        h.finish()
-    };
+    let digest = run_digest(&specs, opts.format, opts.detail);
     let ckpt = if opts.resume {
         Checkpoint::resume(&ckpt_path, digest, specs.len())
     } else {
@@ -241,8 +176,7 @@ fn campaign_streamed(
     // Reconcile the output with the checkpoint: keep exactly the
     // checkpointed rows (plus the CSV header), dropping any unrecorded
     // tail a crash left behind — those scenarios re-execute below.
-    let csv = format == cli::CampaignFormat::Csv;
-    let writer = match open_reconciled(&out_path, already, csv, opts.resume) {
+    let writer = match open_reconciled(&out_path, already, opts.format, opts.resume) {
         Ok(w) => w,
         Err(code) => return code,
     };
@@ -286,28 +220,11 @@ fn campaign_streamed(
         .expect("observer poisoned")
         .record(&ObsEvent::RunStarted { kind: RunKind::Campaign, total: todo.len() as u64 });
     let started = Instant::now();
-    let (outcome, ok, unclean, failed) = match format {
-        cli::CampaignFormat::Csv => {
-            let inner = if already > 0 {
-                CsvStreamSink::appending(writer)
-            } else {
-                CsvStreamSink::new(writer)
-            };
-            run_tallied(
-                executor,
-                specs,
-                &todo,
-                TallySink::new(ObservedSink::new(inner, &obs)),
-                &mut ckpt,
-            )
-        }
-        cli::CampaignFormat::JsonLines => run_tallied(
-            executor,
-            specs,
-            &todo,
-            TallySink::new(ObservedSink::new(JsonLinesSink::new(writer), &obs)),
-            &mut ckpt,
-        ),
+    let (outcome, ok, unclean, failed) = {
+        let rows = opts.format.result_sink(writer, already == 0);
+        let mut sink = TallySink::new(ObservedSink::new(rows, &obs));
+        let outcome = executor.run_subset(&specs, &todo, &Registry, &mut sink, Some(&mut ckpt));
+        (outcome, sink.ok(), sink.unclean(), sink.failed())
     };
     let mut observer = obs.into_inner().expect("observer poisoned");
     let rounds = observer.rounds_seen();
@@ -345,17 +262,6 @@ fn campaign_streamed(
     }
 }
 
-fn run_tallied<S: ResultSink>(
-    executor: &Campaign,
-    specs: &[ScenarioSpec],
-    todo: &[usize],
-    mut sink: TallySink<S>,
-    ckpt: &mut Checkpoint,
-) -> (Result<(), String>, usize, usize, usize) {
-    let outcome = executor.run_subset(specs, todo, &Registry, &mut sink, Some(ckpt));
-    (outcome, sink.ok(), sink.unclean(), sink.failed())
-}
-
 /// Open a streaming output for appending after reconciling it with its
 /// checkpoint: keep the `rows` it records plus the CSV header, or start
 /// afresh (the sink rewrites the header) when it records none. The writer
@@ -365,10 +271,11 @@ fn run_tallied<S: ResultSink>(
 fn open_reconciled(
     path: &Path,
     rows: usize,
-    csv: bool,
+    format: ShardFormat,
     resume: bool,
 ) -> Result<DurableFile, ExitCode> {
-    let lines = if rows > 0 { rows as u64 + u64::from(csv) } else { 0 };
+    let header = u64::from(format == ShardFormat::Csv);
+    let lines = if rows > 0 { rows as u64 + header } else { 0 };
     match reconcile_output(path, lines) {
         Ok((file, dropped)) => {
             if resume && dropped > 0 {
@@ -503,9 +410,10 @@ fn frontier(args: &[String]) -> ExitCode {
         eprintln!("error: creating {}: {e}", opts.out_dir);
         return ExitCode::FAILURE;
     }
-    let out_path = dir.join(opts.format.file_name());
+    let out_name = opts.format.file_name("frontier");
+    let out_path = dir.join(&out_name);
     let ckpt_path = dir.join("frontier.ckpt");
-    let digest = spec.digest(opts.format.file_name());
+    let digest = spec.digest(&out_name);
     let points = spec.points().len();
     let ckpt = if opts.resume {
         FrontierCheckpoint::resume(&ckpt_path, digest, points)
@@ -523,8 +431,7 @@ fn frontier(args: &[String]) -> ExitCode {
 
     // Reconcile the output with the checkpoint: keep exactly the rows it
     // claims durable (plus the CSV header); anything after re-emits.
-    let csv = opts.format == cli::FrontierFormat::Csv;
-    let writer = match open_reconciled(&out_path, already, csv, opts.resume) {
+    let writer = match open_reconciled(&out_path, already, opts.format, opts.resume) {
         Ok(w) => w,
         Err(code) => return code,
     };
@@ -559,29 +466,9 @@ fn frontier(args: &[String]) -> ExitCode {
     };
     observer.record(&ObsEvent::RunStarted { kind: RunKind::Frontier, total: remaining });
     let started = Instant::now();
-    let outcome = match opts.format {
-        cli::FrontierFormat::Csv => {
-            let mut sink =
-                if already > 0 { CsvMapSink::appending(writer) } else { CsvMapSink::new(writer) };
-            engine.run_into_observed(
-                &spec,
-                &Registry,
-                &mut sink as &mut dyn MapSink,
-                Some(&mut ckpt),
-                &mut observer,
-            )
-        }
-        cli::FrontierFormat::JsonLines => {
-            let mut sink = JsonMapSink::new(writer);
-            engine.run_into_observed(
-                &spec,
-                &Registry,
-                &mut sink as &mut dyn MapSink,
-                Some(&mut ckpt),
-                &mut observer,
-            )
-        }
-    };
+    let mut sink = opts.format.map_sink(writer, already == 0);
+    let outcome =
+        engine.run_into_observed(&spec, &Registry, sink.as_mut(), Some(&mut ckpt), &mut observer);
     let rounds = observer.rounds_seen();
     let finished = observer.finish(&ObsEvent::RunFinished {
         kind: RunKind::Frontier,
@@ -740,11 +627,10 @@ fn shard(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let out = opts.out.clone().unwrap_or_else(|| {
-                dir.join(format!("merged.{}", plan.out_name().rsplit('.').next().unwrap()))
-                    .display()
-                    .to_string()
-            });
+            let out = opts
+                .out
+                .clone()
+                .unwrap_or_else(|| dir.join(plan.format.file_name("merged")).display().to_string());
             match emac::core::shard::merge(dir, Path::new(&out)) {
                 Ok(summary) => {
                     println!(

@@ -8,28 +8,10 @@
 use emac_core::campaign::json::Json;
 use emac_core::campaign::{fault_spec_from_json, MetricsDetail, ScenarioSpec};
 use emac_core::prelude::*;
+use emac_core::shard::ShardFormat;
 use emac_sim::{Adversary, FaultSpec, Rate};
 
 use crate::registry::Registry;
-
-/// Streaming output format for `emac campaign --format`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CampaignFormat {
-    /// One flat CSV row per scenario (`campaign.csv`).
-    Csv,
-    /// One JSON object per line (`campaign.jsonl`).
-    JsonLines,
-}
-
-impl CampaignFormat {
-    /// The output file name inside `--out`.
-    pub fn file_name(self) -> &'static str {
-        match self {
-            CampaignFormat::Csv => "campaign.csv",
-            CampaignFormat::JsonLines => "campaign.jsonl",
-        }
-    }
-}
 
 /// Parsed command-line options for `emac campaign`.
 #[derive(Clone, Debug)]
@@ -42,9 +24,8 @@ pub struct CampaignOpts {
     pub threads: Option<usize>,
     /// Output directory (default `results/campaign`).
     pub out_dir: String,
-    /// Streaming format; `None` means the buffered legacy export
-    /// (`campaign.json` + `campaign.csv`).
-    pub format: Option<CampaignFormat>,
+    /// Output format (default CSV).
+    pub format: ShardFormat,
     /// Per-scenario metrics detail.
     pub detail: MetricsDetail,
     /// Resume from `campaign.ckpt` instead of starting fresh.
@@ -59,16 +40,14 @@ pub struct CampaignOpts {
     pub events: Option<String>,
 }
 
-/// Parse `emac campaign` flags. Streaming-only flags (`--resume`,
-/// `--limit`) require `--format`, because only streaming outputs are
-/// appendable.
+/// Parse `emac campaign` flags.
 pub fn parse_campaign(args: &[String]) -> Result<CampaignOpts, String> {
     let mut o = CampaignOpts {
         example: false,
         spec_path: String::new(),
         threads: None,
         out_dir: "results/campaign".into(),
-        format: None,
+        format: ShardFormat::Csv,
         detail: MetricsDetail::Full,
         resume: false,
         limit: None,
@@ -85,20 +64,8 @@ pub fn parse_campaign(args: &[String]) -> Result<CampaignOpts, String> {
                 o.threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?)
             }
             "--out" => o.out_dir = value()?.to_string(),
-            "--format" => {
-                o.format = Some(match value()? {
-                    "csv" => CampaignFormat::Csv,
-                    "jsonl" => CampaignFormat::JsonLines,
-                    other => return Err(format!("--format must be csv or jsonl, got {other:?}")),
-                })
-            }
-            "--detail" => {
-                o.detail = match value()? {
-                    "full" => MetricsDetail::Full,
-                    "slim" => MetricsDetail::Slim,
-                    other => return Err(format!("--detail must be full or slim, got {other:?}")),
-                }
-            }
+            "--format" => o.format = parse_format(value()?)?,
+            "--detail" => o.detail = parse_detail(value()?)?,
             "--resume" => o.resume = true,
             "--limit" => o.limit = Some(value()?.parse().map_err(|e| format!("--limit: {e}"))?),
             "--progress" => o.progress = true,
@@ -115,9 +82,6 @@ pub fn parse_campaign(args: &[String]) -> Result<CampaignOpts, String> {
     if o.spec_path.is_empty() {
         return Err("campaign needs a spec file (try `emac campaign --example`)".into());
     }
-    if o.format.is_none() && (o.resume || o.limit.is_some()) {
-        return Err("--resume and --limit need a streaming --format (csv or jsonl)".into());
-    }
     if o.limit == Some(0) {
         return Err("--limit must be positive".into());
     }
@@ -125,25 +89,6 @@ pub fn parse_campaign(args: &[String]) -> Result<CampaignOpts, String> {
         return Err("--threads must be positive".into());
     }
     Ok(o)
-}
-
-/// Streaming output format for `emac frontier --format`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrontierFormat {
-    /// One CSV row per map point (`frontier.csv`).
-    Csv,
-    /// One JSON object per line (`frontier.jsonl`).
-    JsonLines,
-}
-
-impl FrontierFormat {
-    /// The output file name inside `--out`.
-    pub fn file_name(self) -> &'static str {
-        match self {
-            FrontierFormat::Csv => "frontier.csv",
-            FrontierFormat::JsonLines => "frontier.jsonl",
-        }
-    }
 }
 
 /// Parsed command-line options for `emac frontier`.
@@ -166,7 +111,7 @@ pub struct FrontierOpts {
     /// Output directory (default `results/frontier`).
     pub out_dir: String,
     /// Output format (default CSV).
-    pub format: FrontierFormat,
+    pub format: ShardFormat,
     /// Resume from `frontier.ckpt` instead of starting fresh.
     pub resume: bool,
     /// Run at most this many refinement waves, then stop with the
@@ -189,7 +134,7 @@ pub fn parse_frontier(args: &[String]) -> Result<FrontierOpts, String> {
         escalate: None,
         threads: None,
         out_dir: "results/frontier".into(),
-        format: FrontierFormat::Csv,
+        format: ShardFormat::Csv,
         resume: false,
         max_waves: None,
         progress: false,
@@ -208,13 +153,7 @@ pub fn parse_frontier(args: &[String]) -> Result<FrontierOpts, String> {
                 o.threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?)
             }
             "--out" => o.out_dir = value()?.to_string(),
-            "--format" => {
-                o.format = match value()? {
-                    "csv" => FrontierFormat::Csv,
-                    "jsonl" => FrontierFormat::JsonLines,
-                    other => return Err(format!("--format must be csv or jsonl, got {other:?}")),
-                }
-            }
+            "--format" => o.format = parse_format(value()?)?,
             "--resume" => o.resume = true,
             "--max-waves" => {
                 o.max_waves = Some(value()?.parse().map_err(|e| format!("--max-waves: {e}"))?)
@@ -271,7 +210,7 @@ pub struct ShardOpts {
     /// Shard id (`--shard`, `run` only).
     pub shard: Option<usize>,
     /// Output format (`--format`, `plan` only; baked into the plan).
-    pub format: emac_core::shard::ShardFormat,
+    pub format: ShardFormat,
     /// Metric detail (`--detail`, `plan` only; baked into the plan).
     pub detail: MetricsDetail,
     /// Resume this shard's checkpoint (`--resume`, `run` only).
@@ -305,7 +244,7 @@ pub fn parse_shard(args: &[String]) -> Result<ShardOpts, String> {
         dir: String::new(),
         shards: None,
         shard: None,
-        format: emac_core::shard::ShardFormat::Csv,
+        format: ShardFormat::Csv,
         detail: MetricsDetail::Full,
         resume: false,
         threads: None,
@@ -327,21 +266,9 @@ pub fn parse_shard(args: &[String]) -> Result<ShardOpts, String> {
                 o.shard = Some(value()?.parse().map_err(|e| format!("--shard: {e}"))?)
             }
             "--shard" => return Err(wrong("--shard", "run")),
-            "--format" if action == ShardAction::Plan => {
-                o.format = match value()? {
-                    "csv" => emac_core::shard::ShardFormat::Csv,
-                    "jsonl" => emac_core::shard::ShardFormat::JsonLines,
-                    other => return Err(format!("--format must be csv or jsonl, got {other:?}")),
-                }
-            }
+            "--format" if action == ShardAction::Plan => o.format = parse_format(value()?)?,
             "--format" => return Err(wrong("--format", "plan")),
-            "--detail" if action == ShardAction::Plan => {
-                o.detail = match value()? {
-                    "full" => MetricsDetail::Full,
-                    "slim" => MetricsDetail::Slim,
-                    other => return Err(format!("--detail must be full or slim, got {other:?}")),
-                }
-            }
+            "--detail" if action == ShardAction::Plan => o.detail = parse_detail(value()?)?,
             "--detail" => return Err(wrong("--detail", "plan")),
             "--resume" if action == ShardAction::Run => o.resume = true,
             "--resume" => return Err(wrong("--resume", "run")),
@@ -562,6 +489,16 @@ pub fn parse_faults(s: &str) -> Result<FaultSpec, String> {
     fault_spec_from_json(&json).map_err(|e| format!("--faults: {e}"))
 }
 
+/// Parse `--format`: `csv` or `jsonl`.
+fn parse_format(s: &str) -> Result<ShardFormat, String> {
+    ShardFormat::parse(s).map_err(|e| format!("--format {e}"))
+}
+
+/// Parse `--detail`: `full` or `slim`.
+fn parse_detail(s: &str) -> Result<MetricsDetail, String> {
+    MetricsDetail::parse(s).map_err(|e| format!("--detail {e}"))
+}
+
 /// Parse `--seeds`: either an explicit comma-separated list (`--seeds
 /// 3,17,17` — duplicates are legal, lanes are independent) or a count
 /// (`--seeds 8` means seeds `0..8`).
@@ -706,15 +643,15 @@ mod tests {
         assert_eq!(o.spec_path, "spec.json");
         assert_eq!(o.threads, Some(4));
         assert_eq!(o.out_dir, "results/x");
-        assert_eq!(o.format, Some(CampaignFormat::JsonLines));
+        assert_eq!(o.format, ShardFormat::JsonLines);
         assert_eq!(o.detail, MetricsDetail::Slim);
         assert!(o.resume);
         assert_eq!(o.limit, Some(20));
-        assert_eq!(CampaignFormat::Csv.file_name(), "campaign.csv");
-        assert_eq!(CampaignFormat::JsonLines.file_name(), "campaign.jsonl");
+        assert_eq!(ShardFormat::Csv.file_name("campaign"), "campaign.csv");
+        assert_eq!(ShardFormat::JsonLines.file_name("campaign"), "campaign.jsonl");
 
         let o = parse_campaign(&argv("spec.json")).unwrap();
-        assert_eq!(o.format, None);
+        assert_eq!(o.format, ShardFormat::Csv);
         assert_eq!(o.detail, MetricsDetail::Full);
         assert!(!o.resume && o.limit.is_none());
         assert!(!o.progress && o.events.is_none(), "observability defaults off");
@@ -729,8 +666,8 @@ mod tests {
     #[test]
     fn campaign_flag_validation() {
         assert!(parse_campaign(&argv("")).unwrap_err().contains("spec file"));
-        assert!(parse_campaign(&argv("spec.json --resume")).unwrap_err().contains("--format"));
-        assert!(parse_campaign(&argv("spec.json --limit 5")).unwrap_err().contains("--format"));
+        let o = parse_campaign(&argv("spec.json --resume --limit 5")).unwrap();
+        assert!(o.resume && o.limit == Some(5), "--resume and --limit need no --format");
         assert!(parse_campaign(&argv("spec.json --format xml")).unwrap_err().contains("csv"));
         assert!(parse_campaign(&argv("spec.json --detail tiny")).unwrap_err().contains("slim"));
         assert!(parse_campaign(&argv("spec.json --format csv --limit 0"))
@@ -753,14 +690,14 @@ mod tests {
         assert_eq!(o.tol, Some(0.001));
         assert_eq!(o.threads, Some(4));
         assert_eq!(o.out_dir, "results/f");
-        assert_eq!(o.format, FrontierFormat::JsonLines);
+        assert_eq!(o.format, ShardFormat::JsonLines);
         assert!(o.resume);
         assert_eq!(o.max_waves, Some(3));
-        assert_eq!(FrontierFormat::Csv.file_name(), "frontier.csv");
-        assert_eq!(FrontierFormat::JsonLines.file_name(), "frontier.jsonl");
+        assert_eq!(ShardFormat::Csv.file_name("frontier"), "frontier.csv");
+        assert_eq!(ShardFormat::JsonLines.file_name("frontier"), "frontier.jsonl");
 
         let o = parse_frontier(&argv("map.json")).unwrap();
-        assert_eq!(o.format, FrontierFormat::Csv);
+        assert_eq!(o.format, ShardFormat::Csv);
         assert!(o.axis.is_none() && o.tol.is_none() && o.escalate.is_none() && !o.resume);
         assert!(!o.progress && o.events.is_none(), "observability defaults off");
         assert!(parse_frontier(&argv("--example")).unwrap().example);
@@ -818,7 +755,7 @@ mod tests {
         assert_eq!(o.spec_path, "spec.json");
         assert_eq!(o.dir, "results/shards");
         assert_eq!(o.shards, Some(3));
-        assert_eq!(o.format, emac_core::shard::ShardFormat::JsonLines);
+        assert_eq!(o.format, ShardFormat::JsonLines);
         assert_eq!(o.detail, MetricsDetail::Slim);
 
         let o = parse_shard(&argv(

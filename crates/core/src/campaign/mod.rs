@@ -1130,15 +1130,15 @@ fn execute_one<F: ScenarioFactory>(spec: &ScenarioSpec, factory: &F) -> Scenario
     let outcome = contain_panics(|| {
         spec.validate()?;
         let algorithm = factory.algorithm(spec)?;
-        runner(spec)
+        Runner::for_spec(spec)
             .try_run_against(algorithm.as_ref(), |schedule| factory.adversary(spec, schedule))
     });
     ScenarioRun { spec: spec.clone(), outcome }
 }
 
 /// Run `spec` under every seed in `seeds` as independent lanes — the
-/// multi-seed sibling of [`execute_one`], built from the same `Runner`
-/// setup so lane `i` is digest-identical to `execute_one` with
+/// multi-seed sibling of [`execute_one`], built from the same
+/// [`Runner::for_spec`] so lane `i` is digest-identical to `execute_one` with
 /// `spec.seed = seeds[i]`. `spec.seed` itself is ignored. Used by the
 /// frontier's seed-ensemble probes; panics inside the simulation are
 /// captured as errors like the solo executor does.
@@ -1150,31 +1150,12 @@ pub fn execute_batch<F: ScenarioFactory>(
     contain_panics(|| {
         spec.validate()?;
         let lane = |seed| ScenarioSpec { seed, ..spec.clone() };
-        runner(spec).try_run_batch(
+        Runner::for_spec(spec).try_run_batch(
             seeds,
             |seed| factory.algorithm(&lane(seed)),
             |seed, schedule| factory.adversary(&lane(seed), schedule),
         )
     })
-}
-
-/// The [`Runner`] that executes `spec` (every field but the seed, which
-/// only the algorithm and adversary constructors read).
-fn runner(spec: &ScenarioSpec) -> Runner {
-    let mut runner = Runner::new(spec.n).rate(spec.rho).beta(spec.beta).rounds(spec.rounds);
-    if let Some(drain) = spec.drain {
-        runner = runner.drain(drain);
-    }
-    if let Some(cap) = spec.cap {
-        runner = runner.cap(cap);
-    }
-    if let Some(probe_cap) = spec.probe_cap {
-        runner = runner.probe_cap(probe_cap);
-    }
-    if let Some(faults) = &spec.faults {
-        runner = runner.faults(faults.clone());
-    }
-    runner
 }
 
 /// Run `run`, turning a panic inside it into a `"scenario panicked: …"`

@@ -11,13 +11,14 @@
 //! *map axes* (`n`, `k`) to emit a frontier map — one row
 //! `(n, k, lo, hi, boundary, probes, status)` per map point.
 //!
-//! The search is layered **on** the campaign machinery, not beside it:
-//! every refinement wave is a batch of [`ScenarioSpec`]s executed through
-//! [`Campaign::run_subset`]'s parallel sink pipeline, so frontier runs
-//! inherit the ordered hand-off (probe verdicts arrive in spec order no
-//! matter how workers are scheduled), [`MetricsDetail::Slim`], and the
-//! determinism guarantees: a frontier map is **byte-identical at any
-//! thread count**, and a killed map resumes mid-bisection from its
+//! Every refinement wave takes each unfinished point's next probe (a
+//! [`ScenarioSpec`]) and runs it as a *lane set* — one lane per seed, a
+//! solo map being a one-lane set — on one worker pool, through the same
+//! spec→run binding as a campaign row
+//! ([`execute_batch`](crate::campaign::execute_batch)). Verdicts are
+//! recorded and applied in wave order however the workers were
+//! scheduled, so a frontier map is **byte-identical at any thread
+//! count**, and a killed map resumes mid-bisection from its
 //! [`FrontierCheckpoint`] to the same bytes as an uninterrupted run.
 //!
 //! Template fields and the bracket endpoints accept derived-axis
@@ -109,9 +110,7 @@ use emac_sim::Rate;
 use crate::campaign::expr::{gcd, ExprEnv, RateAxis};
 use crate::campaign::json::Json;
 use crate::campaign::rate_str;
-use crate::campaign::{
-    Campaign, FnSink, MetricsDetail, RawScenario, ScenarioFactory, ScenarioSpec,
-};
+use crate::campaign::{RawScenario, ScenarioFactory, ScenarioSpec};
 use crate::digest::Fnv64;
 use crate::obs::{ObsEvent, Observer};
 use crate::stability::Verdict;
@@ -1159,16 +1158,13 @@ pub struct FrontierSummary {
     pub escalated_probes: usize,
 }
 
-/// A wave slot's resolved probe: the verdict plus, on ensemble maps, the
-/// final batch's `(diverging, lanes)` split.
-type WaveVerdict = Option<(Verdict, Option<(usize, usize)>)>;
-
-/// Outcome of one (possibly escalated) seed-ensemble probe: the final lane
-/// batch's tally.
+/// Outcome of one (possibly escalated) probe: the final lane batch's tally
+/// and the first lane's own verdict (the whole verdict of a one-lane map).
 struct ProbeOutcome {
     diverging: usize,
     lanes: usize,
     unclean: bool,
+    first: Verdict,
 }
 
 /// Run one probe's seed ensemble, widening it by `escalate.step` fresh
@@ -1218,7 +1214,8 @@ where
             }
             _ => {
                 let unclean = reports.iter().any(|r| !r.clean());
-                return Ok(ProbeOutcome { diverging, lanes, unclean });
+                let first = reports[0].stability.verdict;
+                return Ok(ProbeOutcome { diverging, lanes, unclean, first });
             }
         }
     }
@@ -1266,8 +1263,8 @@ impl Frontier {
     /// have reconciled an appendable output with
     /// [`FrontierCheckpoint::rows_written`] first (the CLI does).
     ///
-    /// Each refinement wave batches every unfinished point's next probe
-    /// into one parallel campaign over `factory`; per-point probe
+    /// Each refinement wave runs every unfinished point's next probe as a
+    /// lane set on one worker pool over `factory`; per-point probe
     /// *sequences* depend only on that point's own verdicts, so the final
     /// map is byte-identical across thread counts and interruption
     /// patterns.
@@ -1502,129 +1499,81 @@ impl Frontier {
                 }
             }
 
-            let mut specs: Vec<ScenarioSpec> = wave
+            let specs: Vec<ScenarioSpec> = wave
                 .iter()
                 .map(|&i| searches[i].probe_spec().expect("wave points have a pending probe"))
                 .collect();
-            if let [seed] = spec.seeds[..] {
-                // A one-seed ensemble is the ordinary path with the
-                // template's seed swapped out.
-                for s in &mut specs {
-                    s.seed = seed;
+            // Every probe is a lane set (lane i is a solo probe with seed
+            // i), escalating per the spec. Probes run in parallel but are
+            // recorded and applied in wave order, so the checkpoint and
+            // the bisection see the same sequence at any thread count.
+            // A slot holds (probe outcome, worker-measured wall µs).
+            type ProbeSlot = Mutex<Option<(Result<ProbeOutcome, String>, u64)>>;
+            let slots: Vec<ProbeSlot> = specs.iter().map(|_| Mutex::new(None)).collect();
+            let next = AtomicUsize::new(0);
+            let workers = self.threads.min(specs.len()).max(1);
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(probe) = specs.get(idx) else { break };
+                        // Without a seed list the probe's one lane runs
+                        // the template seed.
+                        let seeds = if spec.seeds.is_empty() {
+                            std::slice::from_ref(&probe.seed)
+                        } else {
+                            &spec.seeds[..]
+                        };
+                        // Workers time their own probes; wall time never
+                        // enters the verdict or the checkpoint.
+                        let started = Instant::now();
+                        let out = run_escalating_probe(probe, seeds, spec.escalate, factory);
+                        let wall_us = started.elapsed().as_micros() as u64;
+                        *slots[idx].lock().expect("probe slot poisoned") = Some((out, wall_us));
+                    });
                 }
-            }
-            let mut verdicts: Vec<WaveVerdict> = vec![None; wave.len()];
-            let mut unclean = 0usize;
-            if ensemble {
-                // Seed-ensemble probes: each wave point runs all seeds as
-                // independent lanes (lane i is a solo probe with seed i),
-                // escalating per the spec, and counts as above
-                // the boundary on the strict-majority verdict. Probes run
-                // in parallel but their tallies are recorded and applied
-                // in wave order, so the checkpoint and the bisection see
-                // the same sequence at any thread count.
-                // A slot holds (probe outcome, worker-measured wall µs).
-                type ProbeSlot = Mutex<Option<(Result<ProbeOutcome, String>, u64)>>;
-                let slots: Vec<ProbeSlot> = specs.iter().map(|_| Mutex::new(None)).collect();
-                let next = AtomicUsize::new(0);
-                let workers = self.threads.min(specs.len()).max(1);
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= specs.len() {
-                                break;
-                            }
-                            // Workers time their own probes; wall time
-                            // never enters the verdict or the checkpoint.
-                            let started = Instant::now();
-                            let out = run_escalating_probe(
-                                &specs[idx],
-                                &spec.seeds,
-                                spec.escalate,
-                                factory,
-                            );
-                            let wall_us = started.elapsed().as_micros() as u64;
-                            *slots[idx].lock().expect("probe slot poisoned") = Some((out, wall_us));
-                        });
-                    }
-                });
-                for (idx, slot) in slots.into_iter().enumerate() {
-                    let (out, wall_us) = slot
-                        .into_inner()
-                        .map_err(|_| "a probe worker panicked".to_string())?
-                        .ok_or("a probe completed without a verdict")?;
-                    let out = out?;
-                    if out.unclean {
-                        unclean += 1;
-                    }
-                    if out.lanes > spec.seeds.len() {
-                        summary.escalated_probes += 1;
-                        obs.record(&ObsEvent::Escalation {
-                            point: wave[idx] as u64,
-                            lanes: out.lanes as u64,
-                        });
-                    }
-                    let verdict = majority_verdict(out.diverging, out.lanes);
-                    if let Some(ck) = checkpoint.as_deref_mut() {
-                        ck.record_ensemble_probe(wave[idx], verdict, out.diverging, out.lanes)?;
-                    }
-                    obs.record(&ObsEvent::Probe {
+            });
+            for (idx, slot) in slots.into_iter().enumerate() {
+                let (out, wall_us) = slot
+                    .into_inner()
+                    .map_err(|_| "a probe worker panicked".to_string())?
+                    .ok_or("a probe completed without a verdict")?;
+                let out = out?;
+                if out.unclean {
+                    summary.unclean_probes += 1;
+                }
+                if out.lanes > spec.seeds.len().max(1) {
+                    summary.escalated_probes += 1;
+                    obs.record(&ObsEvent::Escalation {
                         point: wave[idx] as u64,
-                        diverging: verdict == Verdict::Diverging,
                         lanes: out.lanes as u64,
-                        wall_us,
                     });
-                    verdicts[idx] = Some((verdict, Some((out.diverging, out.lanes))));
                 }
-            } else {
-                let wave = &wave;
-                let verdicts = &mut verdicts;
-                let unclean = &mut unclean;
-                let mut ck = checkpoint.as_deref_mut();
-                let obs = &mut *obs;
-                let mut wave_sink = FnSink(move |idx: usize, run| {
-                    let report = match run.outcome {
-                        Ok(report) => report,
-                        Err(e) => {
-                            return Err(format!("frontier probe {}: {e}", run.spec.display_label()))
+                // An ensemble map follows the strict-majority verdict and
+                // records its lane tally; a one-lane map records the
+                // lane's own verdict (`Inconclusive` included) untallied.
+                let (verdict, tally) = if ensemble {
+                    (majority_verdict(out.diverging, out.lanes), Some((out.diverging, out.lanes)))
+                } else {
+                    (out.first, None)
+                };
+                if let Some(ck) = checkpoint.as_deref_mut() {
+                    match tally {
+                        Some((diverging, lanes)) => {
+                            ck.record_ensemble_probe(wave[idx], verdict, diverging, lanes)?
                         }
-                    };
-                    if !report.clean() {
-                        // Surfaced through the summary (and the CLI exit
-                        // code) rather than dropped — see
-                        // [`FrontierSummary::unclean_probes`].
-                        *unclean += 1;
+                        None => ck.record_probe(wave[idx], verdict)?,
                     }
-                    let verdict = report.stability.verdict;
-                    if let Some(ck) = ck.as_deref_mut() {
-                        ck.record_probe(wave[idx], verdict)?;
-                    }
-                    // Probes arrive in spec order (the campaign's ordered
-                    // hand-off), so the boundary clock decomposes the
-                    // wave's wall time over its probes.
-                    let wall_us = obs.boundary_us();
-                    obs.record(&ObsEvent::Probe {
-                        point: wave[idx] as u64,
-                        diverging: verdict == Verdict::Diverging,
-                        lanes: 1,
-                        wall_us,
-                    });
-                    verdicts[idx] = Some((verdict, None));
-                    Ok(())
+                }
+                obs.record(&ObsEvent::Probe {
+                    point: wave[idx] as u64,
+                    diverging: verdict == Verdict::Diverging,
+                    lanes: out.lanes as u64,
+                    wall_us,
                 });
-                Campaign::new().threads(self.threads).detail(MetricsDetail::Slim).run_into(
-                    &specs,
-                    factory,
-                    &mut wave_sink,
-                )?;
-            }
-            for (&i, verdict) in wave.iter().zip(&verdicts) {
-                let (verdict, lanes) = verdict.ok_or("a probe completed without a verdict")?;
-                searches[i].apply_probe(verdict, lanes, spec.tol)?;
+                searches[wave[idx]].apply_probe(verdict, tally, spec.tol)?;
                 summary.probes_run += 1;
             }
-            summary.unclean_probes += unclean;
             summary.waves += 1;
             obs.record(&ObsEvent::Wave { wave: summary.waves as u64, probes: wave.len() as u64 });
         }

@@ -67,7 +67,7 @@ pub use frontier::{Frontier, FrontierCheckpoint, FrontierSpec};
 pub use k_clique::KClique;
 pub use k_cycle::KCycle;
 pub use k_subsets::{KSubsets, ThreadSubroutine};
-pub use obs::{EventLog, ObsEvent, ObsReport, ObsSink, ObservedSink, Observer, Progress, RunKind};
+pub use obs::{EventLog, ObsEvent, ObsReport, ObservedSink, Observer, Progress, RunKind};
 pub use orchestra::Orchestra;
 pub use runner::{RunReport, Runner};
 pub use stability::{StabilityReport, Verdict};

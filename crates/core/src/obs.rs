@@ -12,9 +12,8 @@
 //!   compact JSON object per line through the house
 //!   [`Json`](crate::campaign::json::Json) value, so an `events.jsonl`
 //!   round-trips through the same minimal parser as every spec file.
-//! * [`ObsSink`] — where events go, with a no-op default ([`NoopObs`]).
-//!   [`EventLog`] is the durable implementation: a buffered, append-only
-//!   JSONL writer that fsyncs on [`ObsSink::flush`] and shares the
+//! * [`EventLog`] — where events go: a buffered, append-only JSONL
+//!   writer that fsyncs on [`EventLog::flush`] and shares the
 //!   [`ckptio`](crate::ckptio) torn-tail rule (with no header lines) so a
 //!   `kill -9` mid-append never poisons the log.
 //! * [`Observer`] — the handle the executors thread through: it owns an
@@ -271,30 +270,8 @@ impl ObsEvent {
     }
 }
 
-/// Consumer of observability events. Implementations need no internal
-/// synchronization: executors record events from one thread at a time
-/// (under the writer lock, or on the coordinating thread).
-pub trait ObsSink: Send {
-    /// Record one event.
-    fn record(&mut self, event: &ObsEvent);
-
-    /// Make everything recorded so far durable. Called at checkpoint
-    /// boundaries, never per round.
-    fn flush(&mut self) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-/// The no-op default sink: observability disarmed.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopObs;
-
-impl ObsSink for NoopObs {
-    fn record(&mut self, _event: &ObsEvent) {}
-}
-
 /// A buffered, append-only `events.jsonl` writer. Lines are buffered in
-/// memory between [`ObsSink::flush`] calls (which fsync), so the hot path
+/// memory between [`EventLog::flush`] calls (which fsync), so the hot path
 /// pays a formatted append, not a syscall. Opening an existing log for
 /// append first repairs a torn tail exactly like the checkpoint files do
 /// (with no header: truncate past the last newline).
@@ -323,19 +300,16 @@ impl EventLog {
         Ok(Self { out: std::io::BufWriter::new(file), path: path.to_path_buf() })
     }
 
-    /// Where this log writes.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl ObsSink for EventLog {
-    fn record(&mut self, event: &ObsEvent) {
+    /// Record one event. Executors record from one thread at a time (under
+    /// the writer lock, or on the coordinating thread).
+    pub fn record(&mut self, event: &ObsEvent) {
         // Buffered append; an I/O error surfaces at the next flush.
         let _ = writeln!(self.out, "{}", event.to_json().render());
     }
 
-    fn flush(&mut self) -> Result<(), String> {
+    /// Make everything recorded so far durable (fsync). Called at
+    /// checkpoint boundaries, never per round.
+    pub fn flush(&mut self) -> Result<(), String> {
         let p = self.path.display();
         self.out.flush().map_err(|e| format!("event log {p}: {e}"))?;
         self.out.get_ref().sync_data().map_err(|e| format!("event log {p}: {e}"))
@@ -497,7 +471,7 @@ impl Observer {
     /// Flush the event log (fsync). A disarmed observer returns `Ok`.
     pub fn flush(&mut self) -> Result<(), String> {
         match &mut self.log {
-            Some(log) => ObsSink::flush(log),
+            Some(log) => log.flush(),
             None => Ok(()),
         }
     }
@@ -829,7 +803,7 @@ mod tests {
         {
             let mut log = EventLog::create(&path).unwrap();
             log.record(&ObsEvent::Fsync { wall_us: 1 });
-            ObsSink::flush(&mut log).unwrap();
+            log.flush().unwrap();
         }
         // simulate a kill mid-append: torn trailing fragment
         {
@@ -840,7 +814,7 @@ mod tests {
         {
             let mut log = EventLog::append(&path).unwrap();
             log.record(&ObsEvent::Fsync { wall_us: 2 });
-            ObsSink::flush(&mut log).unwrap();
+            log.flush().unwrap();
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let mut report = ObsReport::default();
@@ -850,7 +824,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut log = EventLog::append(&path).unwrap();
         log.record(&ObsEvent::Wave { wave: 1, probes: 0 });
-        ObsSink::flush(&mut log).unwrap();
+        log.flush().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 1);
         let _ = std::fs::remove_file(&path);
     }

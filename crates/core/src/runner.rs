@@ -12,6 +12,7 @@ use emac_sim::{
 };
 
 use crate::algorithm::Algorithm;
+use crate::campaign::ScenarioSpec;
 use crate::stability::{classify, StabilityReport};
 
 /// Experiment parameters.
@@ -21,7 +22,6 @@ pub struct Runner {
     rho: Rate,
     beta: Rate,
     rounds: u64,
-    sample_every: u64,
     cap_override: Option<usize>,
     drain_rounds: Option<u64>,
     probe_cap: Option<u64>,
@@ -37,11 +37,27 @@ impl Runner {
             rho: Rate::new(1, 2),
             beta: Rate::integer(1),
             rounds: 100_000,
-            sample_every: 0, // derived from rounds when 0
             cap_override: None,
             drain_rounds: None,
             probe_cap: None,
             faults: None,
+        }
+    }
+
+    /// The runner that executes `spec`: every field but the seed, which
+    /// only the algorithm and adversary constructors read. This is the one
+    /// spec→runner binding shared by campaigns, frontier probes and
+    /// `emac run`.
+    pub fn for_spec(spec: &ScenarioSpec) -> Self {
+        Self {
+            rho: spec.rho,
+            beta: spec.beta,
+            rounds: spec.rounds,
+            cap_override: spec.cap,
+            drain_rounds: spec.drain,
+            probe_cap: spec.probe_cap,
+            faults: spec.faults.clone(),
+            ..Self::new(spec.n)
         }
     }
 
@@ -128,9 +144,7 @@ impl Runner {
         algorithm: &dyn Algorithm,
         make_adversary: impl FnOnce(Option<&Arc<dyn OnSchedule>>) -> Result<Box<dyn Adversary>, E>,
     ) -> Result<RunReport, E> {
-        let cap = self.cap_override.unwrap_or_else(|| algorithm.required_cap(self.n));
-        let sim = self.build(algorithm, cap, make_adversary)?;
-        Ok(self.run_lane(sim))
+        Ok(self.run_lane(self.simulator(algorithm, make_adversary)?))
     }
 
     /// Run one scenario under every seed in `seeds` as independent lanes —
@@ -155,34 +169,35 @@ impl Runner {
         if seeds.is_empty() {
             return Err("a seed batch needs at least one seed".into());
         }
-        let mut lanes = Vec::with_capacity(seeds.len());
-        let mut cap = None;
+        let mut lanes: Vec<Simulator> = Vec::with_capacity(seeds.len());
         for &seed in seeds {
             let algorithm = make_algorithm(seed)?;
-            let lane_cap = self.cap_override.unwrap_or_else(|| algorithm.required_cap(self.n));
-            match cap {
-                None => cap = Some(lane_cap),
-                Some(c) if c != lane_cap => {
+            let sim = self.simulator(algorithm.as_ref(), |s| make_adversary(seed, s))?;
+            if let Some(first) = lanes.first() {
+                let (cap, lane_cap) = (first.config().cap, sim.config().cap);
+                if cap != lane_cap {
                     return Err(format!(
-                        "seed {seed} asks for energy cap {lane_cap}, other lanes use {c}"
+                        "seed {seed} asks for energy cap {lane_cap}, other lanes use {cap}"
                     ));
                 }
-                Some(_) => {}
             }
-            lanes.push(self.build(algorithm.as_ref(), lane_cap, |s| make_adversary(seed, s))?);
+            lanes.push(sim);
         }
         Ok(lanes.into_iter().map(|sim| self.run_lane(sim)).collect())
     }
 
-    /// Build the simulator of one run: configuration, algorithm, adversary.
-    fn build<E>(
+    /// Build the simulator of one run — configuration, algorithm,
+    /// adversary — without running it. The energy cap is the override, or
+    /// the algorithm's requirement. Callers that need the simulator itself
+    /// (`emac run --trace`) start here; everything else goes through
+    /// [`Runner::try_run_against`].
+    pub fn simulator<E>(
         &self,
         algorithm: &dyn Algorithm,
-        cap: usize,
         make_adversary: impl FnOnce(Option<&Arc<dyn OnSchedule>>) -> Result<Box<dyn Adversary>, E>,
     ) -> Result<Simulator, E> {
-        let sample =
-            if self.sample_every == 0 { (self.rounds / 2_048).max(1) } else { self.sample_every };
+        let cap = self.cap_override.unwrap_or_else(|| algorithm.required_cap(self.n));
+        let sample = (self.rounds / 2_048).max(1);
         let mut cfg =
             SimConfig::new(self.n, cap).adversary_type(self.rho, self.beta).sample_every(sample);
         if let Some(f) = &self.faults {

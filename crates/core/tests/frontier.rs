@@ -1,13 +1,15 @@
 //! Integration tests of the frontier subsystem: the k-Cycle
-//! concentrated-flood re-derivation, thread-count byte-identity, and
-//! checkpointed interrupt/resume byte-identity.
+//! concentrated-flood re-derivation, thread-count byte-identity,
+//! checkpointed interrupt/resume byte-identity, and the solo-map
+//! checkpoint record of `Inconclusive` probes.
 
 use std::sync::Arc;
 
 use emac_adversary::{SpreadFromOne, UniformRandom};
 use emac_core::campaign::{ScenarioFactory, ScenarioSpec};
 use emac_core::frontier::{
-    csv_row, CsvMapSink, Frontier, FrontierCheckpoint, FrontierSpec, MemoryMapSink, Status,
+    csv_row, CsvMapSink, Frontier, FrontierCheckpoint, FrontierSpec, FrontierSummary,
+    MemoryMapSink, Status,
 };
 use emac_core::prelude::*;
 use emac_sim::{Adversary, OnSchedule, Rate};
@@ -226,4 +228,71 @@ fn checkpoint_for_a_different_map_is_refused() {
         Frontier::new().run_into(&spec, &TestFactory, &mut sink, Some(&mut ckpt)).unwrap_err();
     assert!(err.contains("map points"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run `spec` with a checkpoint at `dir/frontier.ckpt`, stopping after
+/// `max_waves` waves when given; returns (CSV bytes, summary).
+fn run_checkpointed(
+    spec: &FrontierSpec,
+    dir: &std::path::Path,
+    max_waves: Option<usize>,
+    resume: bool,
+) -> (String, FrontierSummary) {
+    let ckpt_path = dir.join("frontier.ckpt");
+    let (digest, points) = (spec.digest("csv"), spec.points().len());
+    let mut ckpt = if resume {
+        FrontierCheckpoint::resume(&ckpt_path, digest, points).unwrap()
+    } else {
+        FrontierCheckpoint::fresh(&ckpt_path, digest, points).unwrap()
+    };
+    let mut sink = if ckpt.rows_written() > 0 {
+        CsvMapSink::appending(Vec::new())
+    } else {
+        CsvMapSink::new(Vec::new())
+    };
+    let mut frontier = Frontier::new().threads(2);
+    if let Some(max) = max_waves {
+        frontier = frontier.max_waves(max);
+    }
+    let summary = frontier.run_into(spec, &TestFactory, &mut sink, Some(&mut ckpt)).unwrap();
+    (String::from_utf8(sink.into_inner()).unwrap(), summary)
+}
+
+#[test]
+fn inconclusive_solo_probes_are_recorded_as_such_and_resume_byte_identically() {
+    // Eight rounds sample eight queue points, too few for the classifier,
+    // so every probe is `Inconclusive`. A solo map records the probe's own
+    // verdict (`i`), not a one-lane majority (which would read `s`), and
+    // the bisection treats it as stable.
+    let spec = FrontierSpec::parse(
+        r#"{"template": {"algorithm": "k-cycle", "adversary": "spread-from-one",
+            "target": 1, "rounds": 8}, "lo": "0", "hi": "1/2", "tol": 0.0625,
+            "map": {"n": [6, 9], "k": [3]}}"#,
+    )
+    .unwrap();
+    let root = std::env::temp_dir().join(format!("emac-frontier-incon-{}", std::process::id()));
+    let (whole, partial) = (root.join("whole"), root.join("partial"));
+    std::fs::create_dir_all(&whole).unwrap();
+    std::fs::create_dir_all(&partial).unwrap();
+
+    let (csv, summary) = run_checkpointed(&spec, &whole, None, false);
+    assert_eq!(summary.completed, 2);
+    for row in csv.lines().skip(1) {
+        assert!(row.ends_with(",all-stable"), "inconclusive probes count as stable: {row}");
+    }
+    let ckpt = std::fs::read_to_string(whole.join("frontier.ckpt")).unwrap();
+    let probes: Vec<&str> = ckpt.lines().filter(|l| l.starts_with("probe ")).collect();
+    assert_eq!(probes.len(), summary.probes_run);
+    for line in &probes {
+        assert!(line.ends_with(" i"), "solo probe line must carry its own verdict: {line:?}");
+    }
+
+    // One wave, then resume: identical CSV and checkpoint bytes.
+    let (part1, first) = run_checkpointed(&spec, &partial, Some(1), false);
+    assert!(first.completed < 2, "one wave cannot finish a point");
+    let (part2, _) = run_checkpointed(&spec, &partial, None, true);
+    assert_eq!(format!("{part1}{part2}"), csv);
+    assert_eq!(std::fs::read(partial.join("frontier.ckpt")).unwrap(), ckpt.as_bytes());
+
+    let _ = std::fs::remove_dir_all(&root);
 }

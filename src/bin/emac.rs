@@ -712,29 +712,20 @@ fn run(args: &[String]) -> ExitCode {
         return if all_clean { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
-    // Tracing requires direct simulator access; otherwise use the runner.
-    // Both paths hand the algorithm's schedule (when oblivious) to the
-    // registry, so schedule-aware adversaries work here too.
+    // Both paths build through the campaign's runner binding and hand the
+    // algorithm's schedule (when oblivious) to the registry, so
+    // schedule-aware adversaries work here too. Tracing needs the
+    // simulator itself, so it stops before the runner's run phase.
+    let runner = Runner::for_spec(&spec);
+    let make_adversary = |s: Option<&_>| Registry::make_adversary(&spec, s);
     if let Some(capacity) = opts.trace {
-        use emac::sim::{SimConfig, Simulator, WakeMode};
-        let cap = opts.cap.unwrap_or_else(|| alg.required_cap(opts.n));
-        let mut cfg = SimConfig::new(opts.n, cap).adversary_type(opts.rho, opts.beta);
-        if let Some(f) = &opts.faults {
-            cfg = cfg.faults(f.clone());
-        }
-        let built = alg.build(opts.n);
-        let schedule = match &built.wake {
-            WakeMode::Scheduled(s) => Some(s.clone()),
-            WakeMode::Adaptive => None,
-        };
-        let adversary = match Registry::make_adversary(&spec, schedule.as_ref()) {
-            Ok(adv) => adv,
+        let mut sim = match runner.simulator(alg.as_ref(), make_adversary) {
+            Ok(sim) => sim,
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::from(2);
             }
         };
-        let mut sim = Simulator::new(cfg, built, adversary);
         sim.enable_trace(capacity);
         sim.run(opts.rounds);
         println!("last {capacity} rounds:");
@@ -750,21 +741,7 @@ fn run(args: &[String]) -> ExitCode {
         return if sim.violations().is_clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
-    let mut runner = Runner::new(opts.n).rate(opts.rho).beta(opts.beta).rounds(opts.rounds);
-    if let Some(d) = opts.drain {
-        runner = runner.drain(d);
-    }
-    if let Some(c) = opts.cap {
-        runner = runner.cap(c);
-    }
-    if let Some(q) = opts.probe_cap {
-        runner = runner.probe_cap(q);
-    }
-    if let Some(f) = &opts.faults {
-        runner = runner.faults(f.clone());
-    }
-    let report = match runner.try_run_against(alg.as_ref(), |s| Registry::make_adversary(&spec, s))
-    {
+    let report = match runner.try_run_against(alg.as_ref(), make_adversary) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("error: {e}");

@@ -3,8 +3,9 @@
 //! Three contracts are pinned here on top of the unit tests in
 //! `emac-core`'s frontier module:
 //!
-//! 1. a single-element seed list is a pure seed override — the map is
-//!    byte-identical to editing the template's `"seed"` directly;
+//! 1. a single-element seed list is a pure seed override — the map and
+//!    its checkpoint records are byte-identical to editing the template's
+//!    `"seed"` directly;
 //! 2. a degenerate ensemble of identical seeds equals the solo run with
 //!    the template seed byte-for-byte (every lane is the same execution,
 //!    so the strict-majority verdict collapses to the solo verdict);
@@ -12,7 +13,7 @@
 //!    thread-count-independent map.
 
 use emac::registry::Registry;
-use emac_core::frontier::{CsvMapSink, Frontier, FrontierSpec};
+use emac_core::frontier::{CsvMapSink, Frontier, FrontierCheckpoint, FrontierSpec};
 
 const BASE: &str = r#"{
   "template": {"algorithm": "k-cycle", "adversary": "spread-from-one",
@@ -36,11 +37,45 @@ fn run(spec: &FrontierSpec, threads: usize) -> String {
     String::from_utf8(sink.into_inner()).unwrap()
 }
 
+/// Run `spec` with a checkpoint in a fresh directory named `tag`; returns
+/// the CSV bytes and the checkpoint's record lines (its header, which
+/// binds the spec digest, dropped).
+fn run_recorded(spec: &FrontierSpec, tag: &str) -> (String, Vec<String>) {
+    let dir =
+        std::env::temp_dir().join(format!("emac-frontier-seeds-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("frontier.ckpt");
+    let mut ckpt =
+        FrontierCheckpoint::fresh(&path, spec.digest("csv"), spec.points().len()).unwrap();
+    let mut sink = CsvMapSink::new(Vec::new());
+    Frontier::new().threads(2).run_into(spec, &Registry, &mut sink, Some(&mut ckpt)).unwrap();
+    drop(ckpt);
+    let records = std::fs::read_to_string(&path)
+        .unwrap()
+        .lines()
+        .filter(|l| l.starts_with("probe ") || l.starts_with("row "))
+        .map(str::to_string)
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    (String::from_utf8(sink.into_inner()).unwrap(), records)
+}
+
 #[test]
 fn single_seed_list_is_a_template_seed_override() {
     assert_eq!(run(&spec(None, "[5]"), 1), run(&spec(Some(5), ""), 1));
     // ... and a scalar parses like a one-element list.
     assert_eq!(run(&spec(None, "5"), 1), run(&spec(Some(5), ""), 1));
+    // The checkpoint records match too: one untallied `probe` line per
+    // probe, then the `row` lines.
+    let (listed_csv, listed) = run_recorded(&spec(None, "[5]"), "listed");
+    let (template_csv, template) = run_recorded(&spec(Some(5), ""), "template");
+    assert_eq!(listed_csv, template_csv);
+    assert_eq!(listed, template);
+    assert!(listed.iter().any(|l| l.starts_with("row ")), "{listed:?}");
+    assert!(
+        listed.iter().filter(|l| l.starts_with("probe ")).all(|l| l.split(' ').count() == 3),
+        "a one-seed map carries no lane tallies: {listed:?}"
+    );
 }
 
 /// Strip the three band columns an ensemble map appends (header and

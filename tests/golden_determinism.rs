@@ -420,3 +420,67 @@ fn digests_are_stable_across_repeated_runs_and_thread_counts() {
     assert_eq!(d(&serial), d(&parallel));
     assert_eq!(d(&serial), d(&Campaign::new().threads(1).run(&specs, &Registry)));
 }
+
+/// Deep-queue pins: above-threshold floods whose backlogs reach thousands
+/// of packets, so per-destination queue queries run against long queues
+/// (the 4096-round matrix above keeps every queue shallow). The k-Clique
+/// floods cover one destination per pair (n=6, where the effective cap is
+/// 2) and multi-destination pairs including a station's own-set pair
+/// (n=8, k=4); the saturating `uniform` row queues packets for several of
+/// a pair's destinations at once, so it pins which of them goes first.
+/// Count-Hop and Adjust-Window drain per destination every phase. Each
+/// row runs in well under two seconds in a debug build.
+fn deep_queue_matrix() -> Vec<ScenarioSpec> {
+    let rows: &[(&str, &str, usize, usize, Rate, u64)] = &[
+        ("k-clique", "least-on-pair", 6, 3, Rate::new(1, 3), 40_000),
+        ("k-clique", "least-on-pair", 8, 4, Rate::new(1, 3), 40_000),
+        ("k-clique", "uniform", 8, 4, Rate::integer(1), 40_000),
+        ("count-hop", "uniform", 6, 2, Rate::integer(1), 60_000),
+        ("adjust-window", "uniform", 6, 2, Rate::new(1, 2), 24_000),
+    ];
+    rows.iter()
+        .map(|&(alg, adv, n, k, rho, rounds)| {
+            ScenarioSpec::new(alg, adv)
+                .n(n)
+                .k(k)
+                .rho(rho)
+                .beta(Rate::integer(2))
+                .rounds(rounds)
+                .seed(7)
+                .label(format!("{alg}|{adv}|n={n}|k={k}|rho={}/{}", rho.num(), rho.den()))
+        })
+        .collect()
+}
+
+/// Pinned digests of [`deep_queue_matrix`], in order, with the backlog
+/// each row must reach so the pin keeps covering deep queues.
+const DEEP_QUEUE_GOLDEN: &[(&str, &str, u64)] = &[
+    ("k-clique|least-on-pair|n=6|k=3|rho=1/3", "6537caaa084c8339", 5_000),
+    ("k-clique|least-on-pair|n=8|k=4|rho=1/3", "4c75ed11d750c605", 3_000),
+    ("k-clique|uniform|n=8|k=4|rho=1/1", "6634d8355e8c1e28", 2_000),
+    ("count-hop|uniform|n=6|k=2|rho=1/1", "d7a2bdfa5d360d9c", 2_000),
+    ("adjust-window|uniform|n=6|k=2|rho=1/2", "d8716fd6b7534a15", 5_000),
+];
+
+#[test]
+fn deep_queue_digests_match_golden() {
+    let specs = deep_queue_matrix();
+    let result = Campaign::new().threads(4).run(&specs, &Registry);
+    assert_eq!(result.first_error(), None, "every deep-queue scenario must run");
+    let actual: Vec<(String, String, u64)> = result
+        .runs
+        .iter()
+        .map(|run| {
+            let report = run.outcome.as_ref().expect("checked above");
+            (run.spec.display_label(), report_digest_hex(report), report.max_queue())
+        })
+        .collect();
+    for (label, digest, max_queue) in &actual {
+        println!("{label:?}, {digest:?}, max queue {max_queue}");
+    }
+    assert_eq!(actual.len(), DEEP_QUEUE_GOLDEN.len());
+    for ((label, digest, max_queue), &(l, d, floor)) in actual.iter().zip(DEEP_QUEUE_GOLDEN) {
+        assert_eq!((label.as_str(), digest.as_str()), (l, d), "deep-queue digest diverged");
+        assert!(*max_queue >= floor, "{label}: max queue {max_queue} below {floor}");
+    }
+}

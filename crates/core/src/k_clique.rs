@@ -154,6 +154,9 @@ impl OnSchedule for KCliqueParams {
 struct PairReplica {
     p: usize,
     members: Vec<StationId>,
+    /// Destinations whose packets this station sends in pair `p`: every
+    /// `w` with `packet_pair(id, w) == p`.
+    dests: Vec<StationId>,
     ring: TokenRing,
     marker: Round,
 }
@@ -172,6 +175,7 @@ impl KCliqueStation {
             .map(|p| PairReplica {
                 p,
                 members: params.pair_members(p),
+                dests: (0..params.n).filter(|&w| params.packet_pair(id, w) == p).collect(),
                 ring: TokenRing::new(params.k),
                 marker: 0,
             })
@@ -187,16 +191,18 @@ impl KCliqueStation {
 impl Protocol for KCliqueStation {
     fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
         let p = self.params.active_pair(ctx.round);
-        let params = Arc::clone(&self.params);
-        let Some(rep) = self.replica_mut(p) else {
+        let Some(rep) = self.reps.iter().find(|r| r.p == p) else {
             return Action::Listen;
         };
         let holder = rep.members[rep.ring.pos()];
         if holder == ctx.id {
-            // oldest old packet assigned to this pair
-            let found = queue
-                .iter_old(rep.marker)
-                .find(|qp| params.packet_pair(ctx.id, qp.packet.dest) == p);
+            // the oldest old packet assigned to this pair: the least `seq`
+            // (arrival order) among its destinations' oldest old packets
+            let found = rep
+                .dests
+                .iter()
+                .filter_map(|&w| queue.oldest_old_for(w, rep.marker))
+                .min_by_key(|qp| qp.seq);
             if let Some(qp) = found {
                 return Action::Transmit(Message::plain(qp.packet));
             }
@@ -283,7 +289,7 @@ mod tests {
     use super::*;
     use crate::bounds;
     use emac_adversary::{LeastOnPair, Scripted, UniformRandom};
-    use emac_sim::{Rate, SimConfig, Simulator};
+    use emac_sim::{Packet, PacketId, Rate, SimConfig, Simulator, SmallRng};
 
     #[test]
     fn geometry_n6_k4() {
@@ -336,6 +342,65 @@ mod tests {
         for s in 0..12 {
             assert_eq!(p.pairs_of(s).len(), p.sets() - 1);
         }
+    }
+
+    /// `act` transmits the packet a plain arrival-order scan picks: the
+    /// oldest old packet whose pair is the active one, over random queues
+    /// (removals leave gaps at every position) and markers.
+    #[test]
+    fn act_matches_reference_scan() {
+        let mut rng = SmallRng::seed_from_u64(0x6b63);
+        let mut transmits = 0;
+        for (n, k) in [(6, 3), (8, 4), (9, 6), (12, 4)] {
+            let params = Arc::new(KCliqueParams::new(n, k));
+            for id in 0..n {
+                let mut station = KCliqueStation::new(Arc::clone(&params), id);
+                for _case in 0..8 {
+                    let mut queue = IndexedQueue::new(n);
+                    let mut live = Vec::new();
+                    let mut clock = 0;
+                    for pid in 0..rng.random_range_u64(0..200) {
+                        clock += rng.random_range_u64(0..3);
+                        let dest = (id + 1 + rng.random_range(0..n - 1)) % n;
+                        let packet =
+                            Packet { id: PacketId(pid), dest, injected_round: clock, origin: id };
+                        queue.push(packet, clock);
+                        live.push(packet.id);
+                        if rng.random_range(0..4) == 0 {
+                            let victim = live.swap_remove(rng.random_range(0..live.len()));
+                            queue.remove(victim).expect("live packet");
+                        }
+                    }
+                    for round in 0..params.num_pairs() as u64 {
+                        let p = params.active_pair(round);
+                        let ctx = ProtocolCtx { id, n, cap: params.k(), round };
+                        let Some(rep) = station.reps.iter_mut().find(|r| r.p == p) else {
+                            assert_eq!(station.act(&ctx, &queue), Action::Listen);
+                            continue;
+                        };
+                        while rep.members[rep.ring.pos()] != id {
+                            rep.ring.advance();
+                        }
+                        rep.marker = rng.random_range_u64(0..clock + 2);
+                        let marker = rep.marker;
+                        let expected = queue
+                            .iter()
+                            .filter(|qp| qp.arrived < marker)
+                            .find(|qp| params.packet_pair(id, qp.packet.dest) == p)
+                            .map_or(Action::Listen, |qp| {
+                                Action::Transmit(Message::plain(qp.packet))
+                            });
+                        transmits += usize::from(expected != Action::Listen);
+                        assert_eq!(
+                            station.act(&ctx, &queue),
+                            expected,
+                            "n={n} k={k} station {id} pair {p} marker {marker}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(transmits > 500, "only {transmits} rounds had a packet to send");
     }
 
     #[test]

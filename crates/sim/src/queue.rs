@@ -13,13 +13,35 @@
 //! # Representation
 //!
 //! Queue operations sit on the engine's per-round hot path, so the queue is
-//! a *slab*: packets live in a `Vec` of slots threaded into an intrusive
-//! doubly-linked list in arrival order, with removed slots recycled through
-//! a free list. Push and removal are O(1) plus one hash-map update for the
-//! id index; in steady state — once the slab and the id index have grown to
+//! a *slab*: packets live in a `Vec` of slots, and every live slot is
+//! threaded into two intrusive doubly-linked lists, both in arrival order:
+//! the list of the whole queue (`prev`/`next`) and the list of its
+//! destination (`dprev`/`dnext`). Each destination has an 8-byte header
+//! `{head, len}`; its list is circular backwards (the head's `dprev` is the
+//! tail), so no tail array is kept. Links and the id index are `u32`, which
+//! keeps a slot at 64 bytes. Removed slots are recycled through a free
+//! list. Push and removal are O(1) plus one hash-map update for the id
+//! index; in steady state — once the slab and the id index have grown to
 //! the execution's high-water queue length — no queue operation allocates.
-//! (The previous `BTreeMap` keyed by arrival sequence allocated a node per
-//! push, which dominated the allocation profile of long stability sweeps.)
+//!
+//! Arrival rounds never decrease along either list (the engine enqueues in
+//! the current round, and [`IndexedQueue::push`] refuses an earlier one),
+//! so the old packets — those that arrived before a marker round — are a
+//! prefix of each list, and every old-packet query stops at the first
+//! packet that is not old. Hence the cost of each query:
+//!
+//! - O(1): [`len`](IndexedQueue::len), [`count_for`](IndexedQueue::count_for),
+//!   [`oldest`](IndexedQueue::oldest), [`newest`](IndexedQueue::newest),
+//!   [`oldest_for`](IndexedQueue::oldest_for),
+//!   [`oldest_old`](IndexedQueue::oldest_old) and
+//!   [`oldest_old_for`](IndexedQueue::oldest_old_for) (one head check);
+//! - O(that destination's packets): [`iter_for`](IndexedQueue::iter_for),
+//!   and [`count_old_for`](IndexedQueue::count_old_for) (Count-Hop), which
+//!   walks only its old ones;
+//! - O(all packets): [`iter`](IndexedQueue::iter), and
+//!   [`iter_old`](IndexedQueue::iter_old) and
+//!   [`count_old`](IndexedQueue::count_old) (Orchestra, Adjust-Window's
+//!   window snapshot), which walk only the old ones.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -53,7 +75,7 @@ impl Hasher for IdHasher {
     }
 }
 
-type IdIndex = HashMap<PacketId, usize, BuildHasherDefault<IdHasher>>;
+type IdIndex = HashMap<PacketId, u32, BuildHasherDefault<IdHasher>>;
 
 /// A packet at rest in a station's queue, with arrival bookkeeping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,32 +90,54 @@ pub struct QueuedPacket {
 }
 
 /// Sentinel "no slot" index for the intrusive links.
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
 
-/// One slab slot: a queued packet threaded into the arrival-order list.
-/// Freed slots keep their (stale) payload and reuse `next` as the free-list
-/// link; only slots reachable from `head` are live.
+/// One slab slot: a queued packet threaded into the queue's arrival list
+/// and its destination's arrival list. Freed slots keep their (stale)
+/// payload and reuse `next` as the free-list link; only slots reachable
+/// from `head` are live.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     qp: QueuedPacket,
-    prev: usize,
-    next: usize,
+    prev: u32,
+    next: u32,
+    /// Previous slot for the same destination; at the destination's head,
+    /// its tail.
+    dprev: u32,
+    /// Next slot for the same destination; `NIL` at its tail.
+    dnext: u32,
 }
 
-/// Arrival-ordered queue with per-destination counts, O(1) push/removal by
-/// packet id, and steady-state allocation-free operation.
+// `u32` links keep a slot at 64 bytes; wider ones would grow a deep
+// backlog's memory in proportion to its length.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Slot>() == 64);
+
+/// One destination's list: its oldest slot and its length.
+#[derive(Clone, Copy, Debug)]
+struct DestList {
+    head: u32,
+    len: u32,
+}
+
+impl DestList {
+    const EMPTY: Self = Self { head: NIL, len: 0 };
+}
+
+/// Arrival-ordered queue indexed by destination, with O(1) push/removal by
+/// packet id and steady-state allocation-free operation.
 #[derive(Clone, Debug)]
 pub struct IndexedQueue {
     slots: Vec<Slot>,
     /// Head of the free list (threaded through `Slot::next`).
-    free_head: usize,
+    free_head: u32,
     /// Oldest live slot (front of the arrival order).
-    head: usize,
+    head: u32,
     /// Newest live slot (back of the arrival order).
-    tail: usize,
+    tail: u32,
     len: usize,
     slot_of: IdIndex,
-    dest_counts: Vec<usize>,
+    dests: Vec<DestList>,
     next_seq: u64,
 }
 
@@ -113,7 +157,7 @@ impl IndexedQueue {
             tail: NIL,
             len: 0,
             slot_of: IdIndex::default(),
-            dest_counts: vec![0; n],
+            dests: vec![DestList::EMPTY; n],
             next_seq: 0,
         }
     }
@@ -135,34 +179,28 @@ impl IndexedQueue {
 
     /// Look up a queued packet by id.
     pub fn get(&self, id: PacketId) -> Option<&QueuedPacket> {
-        self.slot_of.get(&id).map(|&i| &self.slots[i].qp)
+        self.slot_of.get(&id).map(|&i| &self.slots[i as usize].qp)
     }
 
     /// Packets destined to `dest` currently queued.
     pub fn count_for(&self, dest: StationId) -> usize {
-        self.dest_counts[dest]
-    }
-
-    /// Packets destined to stations with a name strictly below `dest`
-    /// (used by Adjust-Window gossip).
-    pub fn count_below(&self, dest: StationId) -> usize {
-        self.dest_counts[..dest].iter().sum()
+        self.dests[dest].len as usize
     }
 
     /// Iterate over queued packets in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = &QueuedPacket> {
-        Iter { slots: &self.slots, cur: self.head }
+        Iter::<false> { slots: &self.slots, cur: self.head }
     }
 
     /// Iterate in arrival order over packets destined to `dest`.
     pub fn iter_for(&self, dest: StationId) -> impl Iterator<Item = &QueuedPacket> + '_ {
-        self.iter().filter(move |qp| qp.packet.dest == dest)
+        Iter::<true> { slots: &self.slots, cur: self.dests[dest].head }
     }
 
     /// Iterate in arrival order over packets that arrived strictly before
     /// `marker` (the usual "old packet" predicate of the paper's algorithms).
     pub fn iter_old(&self, marker: Round) -> impl Iterator<Item = &QueuedPacket> + '_ {
-        self.iter().filter(move |qp| qp.arrived < marker)
+        self.iter().take_while(move |qp| qp.arrived < marker)
     }
 
     /// Count packets that arrived strictly before `marker`.
@@ -172,32 +210,36 @@ impl IndexedQueue {
 
     /// Count packets destined to `dest` that arrived strictly before `marker`.
     pub fn count_old_for(&self, dest: StationId, marker: Round) -> usize {
-        self.iter_old(marker).filter(|qp| qp.packet.dest == dest).count()
+        self.iter_for(dest).take_while(|qp| qp.arrived < marker).count()
     }
 
     /// The earliest-arrived packet.
     pub fn oldest(&self) -> Option<&QueuedPacket> {
-        (self.head != NIL).then(|| &self.slots[self.head].qp)
+        self.qp_at(self.head)
     }
 
     /// The latest-arrived packet.
     pub fn newest(&self) -> Option<&QueuedPacket> {
-        (self.tail != NIL).then(|| &self.slots[self.tail].qp)
+        self.qp_at(self.tail)
     }
 
     /// The earliest-arrived packet destined to `dest`.
     pub fn oldest_for(&self, dest: StationId) -> Option<&QueuedPacket> {
-        self.iter_for(dest).next()
+        self.qp_at(self.dests[dest].head)
     }
 
     /// The earliest-arrived packet that arrived strictly before `marker`.
     pub fn oldest_old(&self, marker: Round) -> Option<&QueuedPacket> {
-        self.iter_old(marker).next()
+        self.oldest().filter(|qp| qp.arrived < marker)
     }
 
     /// The earliest-arrived old packet destined to `dest`.
     pub fn oldest_old_for(&self, dest: StationId, marker: Round) -> Option<&QueuedPacket> {
-        self.iter_old(marker).find(|qp| qp.packet.dest == dest)
+        self.oldest_for(dest).filter(|qp| qp.arrived < marker)
+    }
+
+    fn qp_at(&self, idx: u32) -> Option<&QueuedPacket> {
+        (idx != NIL).then(|| &self.slots[idx as usize].qp)
     }
 
     /// Enqueue a packet arriving in round `arrived`.
@@ -205,29 +247,53 @@ impl IndexedQueue {
     /// Queue mutation is the engine's job during simulation — protocols only
     /// ever see `&IndexedQueue` — but the methods are public so the data
     /// structure can be tested and reused standalone.
+    ///
+    /// # Panics
+    /// Panics if `arrived` precedes the newest queued packet's arrival: the
+    /// old-packet queries rely on arrival rounds never decreasing.
     pub fn push(&mut self, packet: Packet, arrived: Round) -> QueuedPacket {
+        assert!(
+            self.newest().is_none_or(|qp| qp.arrived <= arrived),
+            "packet {} arrives at round {arrived}, before the newest queued packet",
+            packet.id
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
         let qp = QueuedPacket { packet, arrived, seq };
-        let slot = Slot { qp, prev: self.tail, next: NIL };
-        let idx = if self.free_head != NIL {
-            let idx = self.free_head;
-            self.free_head = self.slots[idx].next;
-            self.slots[idx] = slot;
-            idx
+        let recycled = self.free_head != NIL;
+        let idx = if recycled {
+            self.free_head
+        } else {
+            u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("station queue exceeds u32::MAX - 1 packets")
+        };
+        let mut list = self.dests[packet.dest];
+        let dprev = if list.head == NIL { idx } else { self.slots[list.head as usize].dprev };
+        let slot = Slot { qp, prev: self.tail, next: NIL, dprev, dnext: NIL };
+        if recycled {
+            self.free_head = self.slots[idx as usize].next;
+            self.slots[idx as usize] = slot;
         } else {
             self.slots.push(slot);
-            self.slots.len() - 1
-        };
+        }
         if self.tail != NIL {
-            self.slots[self.tail].next = idx;
+            self.slots[self.tail as usize].next = idx;
         } else {
             self.head = idx;
         }
         self.tail = idx;
+        if list.head == NIL {
+            list.head = idx;
+        } else {
+            self.slots[dprev as usize].dnext = idx;
+            self.slots[list.head as usize].dprev = idx;
+        }
+        list.len += 1;
+        self.dests[packet.dest] = list;
         let prev = self.slot_of.insert(packet.id, idx);
         debug_assert!(prev.is_none(), "packet {} enqueued twice", packet.id);
-        self.dest_counts[packet.dest] += 1;
         self.len += 1;
         qp
     }
@@ -235,39 +301,54 @@ impl IndexedQueue {
     /// Remove a packet by id.
     pub fn remove(&mut self, id: PacketId) -> Option<QueuedPacket> {
         let idx = self.slot_of.remove(&id)?;
-        let Slot { qp, prev, next } = self.slots[idx];
+        let Slot { qp, prev, next, dprev, dnext } = self.slots[idx as usize];
         if prev != NIL {
-            self.slots[prev].next = next;
+            self.slots[prev as usize].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.slots[next].prev = prev;
+            self.slots[next as usize].prev = prev;
         } else {
             self.tail = prev;
         }
-        self.slots[idx].next = self.free_head;
+        let list = &mut self.dests[qp.packet.dest];
+        if list.head == idx {
+            // the new head (if any) inherits the pointer to the tail
+            list.head = dnext;
+            if dnext != NIL {
+                self.slots[dnext as usize].dprev = dprev;
+            }
+        } else {
+            self.slots[dprev as usize].dnext = dnext;
+            // a removed tail's successor on the backward circle is the head
+            let after = if dnext != NIL { dnext } else { list.head };
+            self.slots[after as usize].dprev = dprev;
+        }
+        list.len -= 1;
+        self.slots[idx as usize].next = self.free_head;
         self.free_head = idx;
-        self.dest_counts[qp.packet.dest] -= 1;
         self.len -= 1;
         Some(qp)
     }
 }
 
-struct Iter<'a> {
+/// Arrival-order walk of the whole queue, or (`BY_DEST`) of one
+/// destination's list.
+struct Iter<'a, const BY_DEST: bool> {
     slots: &'a [Slot],
-    cur: usize,
+    cur: u32,
 }
 
-impl<'a> Iterator for Iter<'a> {
+impl<'a, const BY_DEST: bool> Iterator for Iter<'a, BY_DEST> {
     type Item = &'a QueuedPacket;
 
     fn next(&mut self) -> Option<&'a QueuedPacket> {
         if self.cur == NIL {
             return None;
         }
-        let slot = &self.slots[self.cur];
-        self.cur = slot.next;
+        let slot = &self.slots[self.cur as usize];
+        self.cur = if BY_DEST { slot.dnext } else { slot.next };
         Some(&slot.qp)
     }
 }
@@ -302,8 +383,6 @@ mod tests {
         assert_eq!(q.count_for(1), 2);
         assert_eq!(q.count_for(2), 1);
         assert_eq!(q.count_for(0), 0);
-        assert_eq!(q.count_below(2), 2);
-        assert_eq!(q.count_below(3), 3);
     }
 
     #[test]
@@ -337,6 +416,13 @@ mod tests {
         q.remove(PacketId(0));
         let qp = q.push(pkt(1, 1), 1);
         assert_eq!(qp.seq, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "before the newest queued packet")]
+    fn arrivals_must_not_go_back_in_time() {
+        let mut q = filled();
+        q.push(pkt(9, 1), 4);
     }
 
     #[test]

@@ -170,4 +170,45 @@ fn steady_state_steps_do_not_allocate() {
     });
     observer.flush().unwrap();
     let _ = std::fs::remove_file(&log_path);
+
+    // --- Case 6: per-destination queue maintenance. A Count-Hop system
+    // whose round-0 burst spans several destinations: station 0 holds
+    // 2001 packets for station 1 interleaved with 500 each for stations
+    // 2..=5, its oldest and newest both for station 1. The window lies in
+    // the data substage of stage 1 (rounds 24..5625: the coordinator's 600
+    // packets for station 1, then station 0's, then station 2's 3000), so
+    // it carries plain messages only. Station 0 sends every packet for
+    // station 1 inside it: its first is the queue's head, the middle ones
+    // are interior, and its last is the queue's tail while the packets for
+    // 2..=5 stay queued; station 1's destination list drains to empty.
+    let (n, co) = (6usize, 5usize);
+    let mut burst: Vec<(u64, usize, usize)> = vec![(0, co, 1); 600];
+    for _ in 0..500 {
+        burst.extend([1, 2, 1, 3, 1, 4, 1, 5].map(|d| (0u64, 0usize, d)));
+    }
+    burst.push((0, 0, 1));
+    burst.extend(vec![(0u64, 2usize, 1usize); 3_000]);
+    let cfg = emac_sim::SimConfig::new(n, 2)
+        .adversary_type(Rate::new(1, 8), Rate::integer(burst.len() as u64))
+        .sample_every(1 << 40);
+    let mut sim = Simulator::new(cfg, CountHop.build(n), Box::new(Scripted::from_triples(&burst)));
+    sim.run(512);
+    let q0 = sim.station_queue(0);
+    assert_eq!(q0.len(), 4_001, "station 0 has not sent yet");
+    assert_eq!((q0.oldest().unwrap().packet.dest, q0.newest().unwrap().packet.dest), (1, 1));
+    assert!(sim.station_queue(co).count_for(1) > 0, "the coordinator is still sending");
+    let delivered_before = sim.metrics().delivered;
+    let (allocs, deallocs) = count_allocs(&mut sim, 4_096);
+    let q0 = sim.station_queue(0);
+    assert_eq!(q0.count_for(1), 0, "station 0 sent every packet for station 1");
+    assert!((2..n).all(|d| q0.count_for(d) == 500), "packets for 2..=5 stay queued");
+    assert_eq!(sim.station_queue(co).count_for(1), 0);
+    assert!(sim.station_queue(2).count_for(1) > 0, "the window ends with a loaded system");
+    assert!(sim.metrics().delivered >= delivered_before + 4_000);
+    assert_eq!(
+        (allocs, deallocs),
+        (0, 0),
+        "per-destination unlinks at head, interior and tail must not touch the allocator"
+    );
+    assert!(sim.violations().is_clean(), "{}", sim.violations());
 }
